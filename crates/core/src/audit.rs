@@ -50,12 +50,6 @@ impl SedaEngine {
         take(self.graph().verify());
         take(self.guides().verify());
         take(self.metrics().verify());
-        // The shared scratch is part of the engine's mutable state; skip it
-        // only if another query holds it right now (it is re-audited after
-        // every governed search anyway).
-        if let Ok(scratch) = self.query_scratch_for_audit().try_lock() {
-            take(scratch.verify());
-        }
         finish(violations)
     }
 

@@ -13,10 +13,6 @@
 //! per-substrate shard and merge wall times.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, TryLockError};
-
-use serde::{Deserialize, Serialize};
 
 use seda_datagraph::{is_connected_with, shortest_path_with, DataGraph, GraphConfig};
 use seda_dataguide::{
@@ -24,8 +20,8 @@ use seda_dataguide::{
 };
 use seda_olap::{BuildOptions, QueryResultTable, Registry, StarSchemaBuild, StarSchemaBuilder};
 use seda_textindex::{ContextIndex, CountStorage, FullTextQuery, NodeIndex};
-use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, SearchStrategy};
-use seda_topk::{TermInput, TopKConfig, TopKResult, TopKSearcher, TupleScoreCache};
+use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, TermInput};
+use seda_topk::{TopKConfig, TopKResult, TopKSearcher, TupleScoreCache};
 use seda_twigjoin::{evaluate_twig, Axis, TwigPattern};
 use seda_xmlstore::{parse_collection, Collection, DocId, NodeId, PathId};
 
@@ -35,6 +31,7 @@ use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::{names, MetricsRegistry};
 use crate::parallel::{effective_parallelism, panic_message, parallel_map, WorkerPanic};
 use crate::query::{ContextSpec, SedaQuery};
+use crate::response::ExecProfile;
 use crate::summaries::{ConnectionSummary, ContextBucket, ContextSelections, ContextSummary};
 use crate::trace::{span, SpanRecord, Tracer};
 
@@ -55,7 +52,7 @@ pub(crate) fn catch_internal<T>(f: impl FnOnce() -> Result<T, SedaError>) -> Res
 }
 
 /// Configuration of the engine's indexes and algorithms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Dataguide merge threshold (the paper uses 40%).
     pub dataguide_threshold: f64,
@@ -94,7 +91,7 @@ impl Default for EngineConfig {
 }
 
 /// Wall time of one substrate's build, split into its two lifecycle phases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseProfile {
     /// Seconds spent building per-document shards (the parallel phase).
     pub shard_secs: f64,
@@ -123,7 +120,7 @@ impl PhaseProfile {
 /// Timings and shape of one [`SedaEngine::build`] run, surfaced through
 /// `seda-bench` so sequential-vs-parallel speedups are measured rather than
 /// asserted.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildProfile {
     /// Worker threads actually used (after resolving `parallelism == 0` and
     /// clamping to the document count).
@@ -205,37 +202,6 @@ impl BuildProfile {
     }
 }
 
-/// Work counters and wall time of one top-k query, the read-path counterpart
-/// of [`BuildProfile`]: it shows where a query spent its effort (sorted /
-/// random accesses of the Threshold Algorithm, label probes of the
-/// connectivity-oracle checks) and whether the result is exact or clipped.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct QueryProfile {
-    /// The search's work counters (sorted/random accesses, tuples scored and
-    /// rejected, label probes, truncation, early termination).
-    pub stats: seda_topk::SearchStats,
-    /// End-to-end query wall time.
-    pub wall_secs: f64,
-}
-
-impl QueryProfile {
-    /// Renders the profile as a small human-readable line.
-    pub fn render(&self) -> String {
-        format!(
-            "query profile: {:.3}ms wall, {} sorted / {} random accesses, \
-             {} tuples scored ({} disconnected, {} truncated), {} label probes{}",
-            self.wall_secs * 1e3,
-            self.stats.sorted_accesses,
-            self.stats.random_accesses,
-            self.stats.tuples_scored,
-            self.stats.tuples_disconnected,
-            self.stats.candidates_truncated,
-            self.stats.label_probes,
-            if self.stats.early_terminated { ", early-terminated" } else { "" }
-        )
-    }
-}
-
 /// The SEDA engine: owns the collection, every index, the dataguide summary
 /// and the fact/dimension registry.
 pub struct SedaEngine {
@@ -248,28 +214,9 @@ pub struct SedaEngine {
     registry: Registry,
     config: EngineConfig,
     profile: BuildProfile,
-    /// Prepared-query substrate: the posting-list buffers, candidate arenas
-    /// and traversal scratch every top-k query reuses.  Guarded by a mutex so the
-    /// engine stays `Sync`; concurrent queries fall back to a fresh scratch
-    /// instead of blocking (see [`SedaEngine::top_k`]).
-    ///
-    /// This mutex backs only the legacy convenience methods.  Queries issued
-    /// through a [`crate::SedaReader`] own their scratch and never touch it —
-    /// the contention-free path [`SedaEngine::reader`] hands out.
-    query_scratch: Mutex<SearchScratch>,
-    /// How many queries ran through the shared `query_scratch` (legacy
-    /// convenience path).  Reader-handle queries never increment this; the
-    /// concurrency tests pin that invariant.
-    shared_scratch_queries: AtomicUsize,
     /// Engine-wide metrics: counters, gauges and latency histograms every
     /// governed request records into (see [`crate::metrics`]).
     metrics: MetricsRegistry,
-    /// How many shared-scratch queries could not take the cached scratch
-    /// (lock contention) and fell back to a fresh allocation.  A *poisoned*
-    /// lock does not count: poison is cleared and the cached scratch is
-    /// reset in place, so the steady state stays allocation-free even after
-    /// a contained panic.
-    fresh_scratch_fallbacks: AtomicUsize,
 }
 
 impl SedaEngine {
@@ -362,10 +309,7 @@ impl SedaEngine {
             registry,
             config,
             profile,
-            query_scratch: Mutex::new(SearchScratch::new()),
-            shared_scratch_queries: AtomicUsize::new(0),
             metrics: MetricsRegistry::new(),
-            fresh_scratch_fallbacks: AtomicUsize::new(0),
         };
         engine.metrics.gauge(names::ENGINE_DOCUMENTS).set(engine.collection.len() as u64);
         engine.metrics.gauge(names::ORACLE_LABEL_BYTES).set(engine.profile.label_bytes as u64);
@@ -533,12 +477,6 @@ impl SedaEngine {
         &mut self.metrics
     }
 
-    /// The shared-scratch mutex, for the engine-level audit
-    /// ([`SedaEngine::verify`]) to include the cached scratch when idle.
-    pub(crate) fn query_scratch_for_audit(&self) -> &Mutex<SearchScratch> {
-        &self.query_scratch
-    }
-
     /// Mutable references to every frozen substrate — the corruption-test
     /// access behind the `#[doc(hidden)]` [`SedaEngine::substrates_mut`].
     pub(crate) fn substrate_fields_mut(
@@ -605,52 +543,10 @@ impl SedaEngine {
         self.guides.stats(self.collection.len())
     }
 
-    /// Queries that ran through the engine's shared cached scratch (the
-    /// legacy convenience path).  Queries issued through [`SedaEngine::reader`]
-    /// handles own their scratch and leave this counter untouched.
-    pub fn shared_scratch_queries(&self) -> usize {
-        self.shared_scratch_queries.load(Ordering::Relaxed)
-    }
-
-    /// How many shared-scratch queries lost the `try_lock` race and ran on a
-    /// freshly allocated scratch.  Poisoned locks are *recovered* (poison
-    /// cleared, scratch reset in place) rather than abandoned, so a contained
-    /// panic does not inflate this counter forever after.
-    pub fn fresh_scratch_fallbacks(&self) -> usize {
-        self.fresh_scratch_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Takes the engine's shared scratch and runs `f` over it, recovering a
-    /// poisoned mutex (a worker panicked while holding it) by clearing the
-    /// poison and resetting the scratch in place.  Only lock *contention*
-    /// falls back to a fresh allocation.
-    fn with_shared_scratch<R>(&self, f: impl FnOnce(&mut SearchScratch) -> R) -> R {
-        self.shared_scratch_queries.fetch_add(1, Ordering::Relaxed);
-        match self.query_scratch.try_lock() {
-            Ok(mut scratch) => {
-                faults::fire_unchecked("scratch-lock");
-                f(&mut scratch)
-            }
-            Err(TryLockError::Poisoned(poisoned)) => {
-                // A panic was contained while the scratch was held; its
-                // buffers may be mid-update, so reset them and clear the
-                // poison — the cached scratch stays warm for later queries.
-                let mut scratch = poisoned.into_inner();
-                *scratch = SearchScratch::new();
-                self.query_scratch.clear_poison();
-                faults::fire_unchecked("scratch-lock");
-                f(&mut scratch)
-            }
-            Err(TryLockError::WouldBlock) => {
-                self.fresh_scratch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.metrics.counter(names::FRESH_SCRATCH_FALLBACKS_TOTAL, "").inc();
-                f(&mut SearchScratch::new())
-            }
-        }
-    }
-
     /// Resolves the allowed paths of every term, combining the term's own
-    /// context spec with any user selection from the context summary.
+    /// context spec with any user selection from the context summary.  The
+    /// searcher only tests membership, so each path set is sorted and
+    /// deduplicated here, once.
     pub(crate) fn term_inputs(
         &self,
         query: &SedaQuery,
@@ -666,92 +562,41 @@ impl SedaEngine {
                     None => term.context.allowed_paths(&self.collection),
                 };
                 match allowed {
-                    Some(paths) => TermInput::with_paths(term.search.clone(), paths),
+                    Some(mut paths) => {
+                        paths.sort_unstable();
+                        paths.dedup();
+                        TermInput::with_paths(term.search.clone(), paths)
+                    }
                     None => TermInput::new(term.search.clone()),
                 }
             })
             .collect()
     }
 
-    /// Runs the top-k search unit for a query, honouring context selections.
-    ///
-    /// The query runs through the engine's cached [`SearchScratch`] (posting
-    /// lists, candidate arenas, traversal scratch), so steady-state queries do not
-    /// allocate; when another query holds the scratch, a fresh one is used
-    /// rather than blocking.
+    /// Runs the top-k search unit for a query, honouring context selections,
+    /// through a temporary [`crate::SedaReader`].
     pub fn top_k(&self, query: &SedaQuery, selections: &ContextSelections, k: usize) -> TopKResult {
         self.top_k_profiled(query, selections, k).0
     }
 
-    /// Like [`SedaEngine::top_k`], additionally returning the
-    /// [`QueryProfile`] of the run (work counters plus wall time).
+    /// Like [`SedaEngine::top_k`], additionally returning the run's
+    /// [`ExecProfile`] (work counters plus wall time).
     pub fn top_k_profiled(
         &self,
         query: &SedaQuery,
         selections: &ContextSelections,
         k: usize,
-    ) -> (TopKResult, QueryProfile) {
-        self.with_shared_scratch(|scratch| self.top_k_scratch(query, selections, k, scratch))
-    }
-
-    /// The scratch-parameterised top-k search every entry point (legacy
-    /// convenience methods, reader handles, the facade executor) funnels
-    /// through.
-    pub(crate) fn top_k_scratch(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, QueryProfile) {
-        let (result, profile, _) =
-            self.top_k_scratch_governed(query, selections, k, &SearchLimits::unlimited(), scratch);
-        (result, profile)
-    }
-
-    /// [`SedaEngine::top_k_scratch`] under per-request [`SearchLimits`]: the
-    /// third element reports the first exhausted resource, if any, and the
-    /// returned tuples are the certifiably correct prefix computed before it
-    /// ran out.
-    pub(crate) fn top_k_scratch_governed(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        k: usize,
-        limits: &SearchLimits,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, QueryProfile, Option<LimitBreach>) {
-        let terms = self.term_inputs(query, selections);
-        self.search_terms_governed(&terms, k, limits, scratch)
+    ) -> (TopKResult, ExecProfile) {
+        self.reader().top_k(query, selections, k)
     }
 
     /// Runs the Threshold-Algorithm searcher over pre-resolved term inputs
     /// under per-request [`SearchLimits`] ([`SearchLimits::unlimited`] for
-    /// ungoverned callers).  `k == 0` is honoured literally and yields an
-    /// empty result.
+    /// ungoverned callers), over either fresh posting lists or a prepared
+    /// statement's materialized term lists, with an optional compactness
+    /// memo shared across executions.  `k == 0` is honoured literally and
+    /// yields an empty result.
     pub(crate) fn search_terms_governed(
-        &self,
-        terms: &[TermInput],
-        k: usize,
-        limits: &SearchLimits,
-        scratch: &mut SearchScratch,
-    ) -> (TopKResult, QueryProfile, Option<LimitBreach>) {
-        let start = Stopwatch::start();
-        faults::fire_unchecked("mid-search");
-        let searcher = TopKSearcher::new(&self.collection, &self.node_index, &self.graph);
-        let mut config = self.config.topk.clone();
-        config.k = k;
-        let (result, breach) = searcher.search_governed(terms, &config, limits, scratch);
-        let profile = QueryProfile { stats: result.stats.clone(), wall_secs: start.elapsed_secs() };
-        (result, profile, breach)
-    }
-
-    /// Runs a compiled [`crate::PlanOp::Search`] op: the searcher under the
-    /// plan's tuned [`TopKConfig`] and access [`SearchStrategy`], over either
-    /// fresh posting lists or a prepared statement's materialized term lists,
-    /// with an optional compactness memo shared across executions.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn search_compiled(
         &self,
         terms: &[TermInput],
         config: &TopKConfig,
@@ -759,18 +604,15 @@ impl SedaEngine {
         scratch: &mut SearchScratch,
         materialized: Option<&MaterializedTerms>,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
-    ) -> (TopKResult, QueryProfile, Option<LimitBreach>) {
-        let start = Stopwatch::start();
+    ) -> (TopKResult, Option<LimitBreach>) {
         faults::fire_unchecked("mid-search");
         let searcher = TopKSearcher::new(&self.collection, &self.node_index, &self.graph);
-        let (result, breach) = match materialized {
-            Some(lists) => searcher
-                .search_materialized_governed(lists, config, limits, scratch, cache, strategy),
-            None => searcher.search_governed_with(terms, config, limits, scratch, cache, strategy),
-        };
-        let profile = QueryProfile { stats: result.stats.clone(), wall_secs: start.elapsed_secs() };
-        (result, profile, breach)
+        match materialized {
+            Some(lists) => {
+                searcher.search_materialized_governed(lists, config, limits, scratch, cache)
+            }
+            None => searcher.search_governed_with(terms, config, limits, scratch, cache),
+        }
     }
 
     /// Resolves term inputs into reusable sorted posting lists for a
@@ -896,40 +738,20 @@ impl SedaEngine {
     ///
     /// Fails with [`SedaError::Limit`] instead of silently clipping when the
     /// context combinations or materialised rows would exceed
-    /// [`EngineConfig::complete_result_limit`].
+    /// [`EngineConfig::complete_result_limit`].  Runs through a temporary
+    /// [`crate::SedaReader`].
     pub fn complete_results(
         &self,
         query: &SedaQuery,
         selections: &ContextSelections,
         connections: &[Connection],
     ) -> Result<QueryResultTable, SedaError> {
-        self.with_shared_scratch(|scratch| {
-            self.complete_results_scratch(query, selections, connections, scratch)
-        })
+        self.reader().complete_results(query, selections, connections)
     }
 
-    /// [`SedaEngine::complete_results`] reusing a caller-owned scratch for
-    /// every graph traversal (the reader-handle path).
-    pub(crate) fn complete_results_scratch(
-        &self,
-        query: &SedaQuery,
-        selections: &ContextSelections,
-        connections: &[Connection],
-        scratch: &mut SearchScratch,
-    ) -> Result<QueryResultTable, SedaError> {
-        let (table, _) = self.complete_results_governed(
-            query,
-            selections,
-            connections,
-            scratch,
-            &RequestContext::unlimited(),
-        )?;
-        Ok(table)
-    }
-
-    /// [`SedaEngine::complete_results_scratch`] under a per-request
-    /// [`RequestContext`]: cancellation, the wall-clock deadline and the
-    /// result-row budget are checked between context combinations.  A budget
+    /// [`SedaEngine::complete_results`] over a caller-owned scratch, under a
+    /// per-request [`RequestContext`]: cancellation, the wall-clock deadline
+    /// and the result-row budget are checked between context combinations.  A budget
     /// breach returns the deduplicated rows enumerated so far (clipped to the
     /// row ceiling) together with the breach, leaving the degrade-or-error
     /// decision to the caller; cancellation always errors.

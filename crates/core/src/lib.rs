@@ -21,15 +21,18 @@
 //! # The unified query facade
 //!
 //! Every trip through the Fig. 4 pipeline is one **request → plan →
-//! response** lifecycle: a [`SedaRequest`] (built fluently or parsed from
-//! the textual front-end) is compiled by the planner into a [`QueryPlan`]
-//! (inspectable via [`QueryPlan::explain`]) and executed into a
-//! [`SedaResponse`] carrying the statement-shaped payload plus a unified
-//! [`ExecProfile`].  Execution runs through per-thread [`SedaReader`]
-//! handles that own their scratch buffers, so concurrent queries never
-//! contend on shared engine state; [`SedaEngine::execute_batch`] fans a
-//! batch of requests across a reader pool.  All errors share the
-//! [`SedaError`] taxonomy.
+//! response** lifecycle.  A [`SedaRequest`] (built fluently or parsed from
+//! the textual front-end) is validated and resolved into a [`QueryPlan`] by
+//! [`SedaEngine::prepare`]; the paper has no query optimizer, so the plan is
+//! the statement's fixed pipeline, and [`QueryPlan::explain`] lists its
+//! steps.  One executor in [`SedaReader`] runs every statement — fresh, or
+//! as a [`PreparedStatement`] that lends it materialized term lists and a
+//! compactness memo — into a [`SedaResponse`]: the statement-shaped payload
+//! plus one [`ExecProfile`] of work counters and wall times.  Each reader
+//! owns its scratch buffers, so concurrent readers share no mutable state;
+//! [`SedaEngine::execute_batch`] fans a batch of requests across a reader
+//! pool, and the engine's convenience methods run through a temporary
+//! reader.  All errors share the [`SedaError`] taxonomy.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaSession};
@@ -64,7 +67,6 @@ pub mod error;
 pub mod faults;
 pub mod govern;
 pub mod metrics;
-pub mod optimize;
 pub mod parallel;
 pub mod plan;
 pub mod prepared;
@@ -77,11 +79,10 @@ pub mod summaries;
 pub mod trace;
 
 pub use audit::verify_exec_profile;
-pub use engine::{BuildProfile, EngineConfig, PhaseProfile, QueryProfile, SedaEngine};
+pub use engine::{BuildProfile, EngineConfig, PhaseProfile, SedaEngine};
 pub use error::SedaError;
 pub use govern::{Budget, CancelToken, RequestContext, Stopwatch};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use optimize::{EmitShape, PlanOp, PlanProgram};
 pub use parallel::WorkerPanic;
 pub use plan::{PlanStep, QueryPlan};
 pub use prepared::PreparedStatement;

@@ -1,24 +1,25 @@
 //! Query planning: [`SedaRequest`] → [`QueryPlan`].
 //!
-//! Planning is a three-stage compile.  The **lowering** stage validates a
-//! request against an engine (term indices exist, path strings resolve, twig
-//! paths compile, limits hold), resolves every context selection down to
-//! [`PathId`]s and [`TermInput`]s, and records the execution steps — the
-//! typed logical plan.  [`SedaEngine::prepare`] then runs the registered
-//! **rewrite passes** of [`crate::optimize`] over it and **compiles** the
-//! optimized plan into the [`PlanProgram`] instruction stream the reader's
-//! interpreter executes.  [`QueryPlan::explain`] renders the transcript —
-//! steps, pass-by-pass rewrite trail and program listing.
+//! SEDA has no query optimizer: every statement is a fixed pipeline over
+//! keyword search, the context/connection summaries, complete results, the
+//! star schema and the cube, so the plan *is* the statement.
+//! [`SedaEngine::prepare`] validates a request against an engine (term
+//! indices exist, path strings resolve, twig paths compile, limits hold),
+//! resolves every context selection down to [`PathId`]s and [`TermInput`]s
+//! once, and records the steps the reader's executor will run.
+//! [`QueryPlan::explain`] renders those steps; every line is a decision the
+//! executor actually makes, derived from the same inputs it reads (the
+//! single-term scan line uses [`TopKConfig::scans_single_term`], the
+//! predicate the searcher itself evaluates).
 
 use seda_dataguide::Connection;
 use seda_olap::BuildOptions;
-use seda_topk::{SearchStrategy, TermInput, TopKConfig};
+use seda_topk::{TermInput, TopKConfig};
 use seda_twigjoin::TwigPattern;
 use seda_xmlstore::PathId;
 
 use crate::engine::SedaEngine;
 use crate::error::SedaError;
-use crate::optimize::{self, PlanProgram};
 use crate::query::SedaQuery;
 use crate::request::{SedaRequest, Statement};
 use crate::summaries::ContextSelections;
@@ -44,8 +45,8 @@ pub enum PlanStep {
         /// Candidate-tuple bound of the join loop.
         candidate_limit: usize,
     },
-    /// Degenerate one-term search rewritten by the optimizer's
-    /// single-keyword pass: a direct scan of the sorted posting prefix.
+    /// Degenerate one-term search: a direct scan of the sorted posting
+    /// prefix, chosen whenever [`TopKConfig::scans_single_term`] holds.
     SingleTermScan {
         /// Number of result tuples requested.
         k: usize,
@@ -138,11 +139,9 @@ impl std::fmt::Display for PlanStep {
     }
 }
 
-/// A validated, fully resolved and optimized execution plan for one
-/// [`SedaRequest`]: the typed logical plan the lowering produced (statement,
-/// resolved term inputs, step list, search configuration), the rewrite trail
-/// the optimizer's passes left behind, and the compiled [`PlanProgram`] the
-/// reader interprets.
+/// A validated, fully resolved execution plan for one [`SedaRequest`]: the
+/// statement, its resolved term inputs, the search configuration and the
+/// step list [`QueryPlan::explain`] renders.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct QueryPlan {
@@ -158,18 +157,8 @@ pub struct QueryPlan {
     pub(crate) pattern: Option<TwigPattern>,
     pub(crate) cube_options: BuildOptions,
     pub(crate) steps: Vec<PlanStep>,
-    /// Per-plan search configuration; rewrite passes tune it (k is folded in
-    /// at lowering, the component-prune pass may clear `prune_components`).
+    /// The engine's search configuration with the statement's `k` folded in.
     pub(crate) topk: TopKConfig,
-    /// Search strategy the single-keyword pass may rewrite.
-    pub(crate) strategy: SearchStrategy,
-    /// Per-term `(restricted, total)` postings estimates the pushdown pass
-    /// computes and the cost model consumes.
-    pub(crate) term_estimates: Vec<(usize, usize)>,
-    /// Pass-by-pass rewrite trail, one line per registered pass.
-    pub(crate) trail: Vec<String>,
-    /// The compiled instruction stream.
-    pub(crate) program: PlanProgram,
 }
 
 impl QueryPlan {
@@ -183,26 +172,38 @@ impl QueryPlan {
         &self.steps
     }
 
-    /// The compiled instruction stream the reader's interpreter executes.
-    pub fn program(&self) -> &PlanProgram {
-        &self.program
+    /// The resolved per-term search inputs (empty for statements without a
+    /// search phase).
+    pub fn term_inputs(&self) -> &[TermInput] {
+        &self.term_inputs
     }
 
-    /// The pass-by-pass rewrite trail: one `"<pass>: <what changed>"` line
-    /// per registered optimizer pass (`"<pass>: unchanged"` when a pass did
-    /// not apply).
-    pub fn rewrite_trail(&self) -> &[String] {
-        &self.trail
-    }
-
-    /// The search configuration this plan executes with, after optimization.
+    /// The search configuration this plan executes with.
     pub fn search_config(&self) -> &TopKConfig {
         &self.topk
     }
 
-    /// Renders the plan transcript: the statement header, the numbered
-    /// execution steps, the optimizer's rewrite trail and the compiled
-    /// program listing.
+    /// Re-parameterizes `k` of a `TOPK k` / `CONNECTIONS k` plan, re-deriving
+    /// the search step exactly as planning the new `k` from scratch would.
+    /// Returns `false` (and changes nothing) for statements without a `k`.
+    pub(crate) fn set_k(&mut self, k: usize) -> bool {
+        match &mut self.statement {
+            Statement::TopK { k: slot } | Statement::ConnectionSummary { k: slot } => *slot = k,
+            _ => return false,
+        }
+        self.topk.k = k;
+        let step = search_step(&self.topk, self.term_inputs.len());
+        for slot in &mut self.steps {
+            if matches!(slot, PlanStep::ThresholdJoin { .. } | PlanStep::SingleTermScan { .. }) {
+                *slot = step.clone();
+            }
+        }
+        true
+    }
+
+    /// Renders the plan transcript: the statement header and the numbered
+    /// execution steps.  The transcript depends only on the engine and the
+    /// request, never on earlier executions.
     pub fn explain(&self) -> String {
         let mut out = format!("plan: {}", self.statement.name());
         match &self.query {
@@ -212,17 +213,17 @@ impl QueryPlan {
         for (i, step) in self.steps.iter().enumerate() {
             out.push_str(&format!("  {}. {step}\n", i + 1));
         }
-        if !self.trail.is_empty() {
-            out.push_str("  rewrites:\n");
-            for line in &self.trail {
-                out.push_str(&format!("    - {line}\n"));
-            }
-        }
-        if !self.program.is_empty() {
-            out.push_str("  program:\n");
-            out.push_str(&self.program.render());
-        }
         out
+    }
+}
+
+/// The search step a `k`-bounded statement runs over `terms` query terms:
+/// the single-term scan exactly when the searcher will choose it.
+fn search_step(topk: &TopKConfig, terms: usize) -> PlanStep {
+    if topk.scans_single_term(terms) {
+        PlanStep::SingleTermScan { k: topk.k }
+    } else {
+        PlanStep::ThresholdJoin { k: topk.k, candidate_limit: topk.candidate_limit }
     }
 }
 
@@ -235,15 +236,9 @@ impl SedaEngine {
             .ok_or_else(|| SedaError::UnknownPath(path.to_string()))
     }
 
-    /// Compiles, validates and optimizes a request into a [`QueryPlan`]:
-    /// lowering (validation + context resolution), the registered rewrite
-    /// passes of [`crate::optimize`], and compilation into the
-    /// [`PlanProgram`] the reader interprets.
-    ///
-    /// This is the one canonical compile path; [`SedaEngine::plan`] and
-    /// [`crate::SedaReader::plan`] are thin deprecated shims over it, and
-    /// [`crate::SedaReader::prepare`] wraps its output into a reusable
-    /// [`crate::PreparedStatement`].
+    /// Validates a request and resolves it into a [`QueryPlan`]; the one
+    /// planning path.  [`crate::SedaReader::prepare`] wraps its output into
+    /// a reusable [`crate::PreparedStatement`].
     ///
     /// Preparing is read-only and touches no scratch state, so it is safe
     /// from any thread.  Errors cover the whole [`SedaError`] taxonomy:
@@ -251,23 +246,6 @@ impl SedaEngine {
     /// paths, uncompilable twig expressions, and combination counts beyond
     /// the configured limits.
     pub fn prepare(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        let mut plan = self.lower(request)?;
-        plan.trail = optimize::run_passes(&mut plan, self);
-        plan.program = optimize::compile(&plan);
-        Ok(plan)
-    }
-
-    /// Deprecated alias of [`SedaEngine::prepare`], the canonical compile
-    /// path.
-    #[deprecated(since = "0.1.0", note = "use SedaEngine::prepare")]
-    pub fn plan(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        self.prepare(request)
-    }
-
-    /// The lowering stage: validates the request and produces the typed
-    /// logical plan (resolved inputs + step list) that the rewrite passes
-    /// transform.
-    fn lower(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
         let mut steps = Vec::new();
         let statement = request.statement.clone();
 
@@ -302,10 +280,6 @@ impl SedaEngine {
                 cube_options: request.cube_options.clone(),
                 steps,
                 topk: self.config().topk.clone(),
-                strategy: SearchStrategy::default(),
-                term_estimates: Vec::new(),
-                trail: Vec::new(),
-                program: PlanProgram::default(),
             });
         }
 
@@ -334,6 +308,10 @@ impl SedaEngine {
         }
 
         let config = self.config();
+        let mut topk = config.topk.clone();
+        if let Statement::TopK { k } | Statement::ConnectionSummary { k } = &statement {
+            topk.k = *k;
+        }
         let needs_search =
             matches!(statement, Statement::TopK { .. } | Statement::ConnectionSummary { .. });
 
@@ -356,20 +334,12 @@ impl SedaEngine {
         };
 
         match &statement {
-            Statement::TopK { k } => {
-                steps.push(PlanStep::ThresholdJoin {
-                    k: *k,
-                    candidate_limit: config.topk.candidate_limit,
-                });
-            }
+            Statement::TopK { .. } => steps.push(search_step(&topk, term_inputs.len())),
             Statement::ContextSummary => {
                 steps.push(PlanStep::ContextBuckets { terms: query.len() });
             }
-            Statement::ConnectionSummary { k } => {
-                steps.push(PlanStep::ThresholdJoin {
-                    k: *k,
-                    candidate_limit: config.topk.candidate_limit,
-                });
+            Statement::ConnectionSummary { .. } => {
+                steps.push(search_step(&topk, term_inputs.len()));
                 steps
                     .push(PlanStep::DiscoverConnections { max_depth: config.connection_max_depth });
             }
@@ -404,10 +374,6 @@ impl SedaEngine {
             }
         }
 
-        let mut topk = config.topk.clone();
-        if let Statement::TopK { k } | Statement::ConnectionSummary { k } = &statement {
-            topk.k = *k;
-        }
         Ok(QueryPlan {
             statement,
             query: Some(query),
@@ -418,10 +384,6 @@ impl SedaEngine {
             cube_options: request.cube_options.clone(),
             steps,
             topk,
-            strategy: SearchStrategy::default(),
-            term_estimates: Vec::new(),
-            trail: Vec::new(),
-            program: PlanProgram::default(),
         })
     }
 }
@@ -459,6 +421,32 @@ mod tests {
         assert!(transcript.contains("plan: TOPK"), "{transcript}");
         assert!(transcript.contains("1. resolve contexts of term 0"), "{transcript}");
         assert!(transcript.contains("threshold-algorithm rank join: k=5"), "{transcript}");
+    }
+
+    #[test]
+    fn allowed_paths_are_sorted_and_deduplicated() {
+        let e = engine();
+        let req = SedaRequest::parse(
+            "TOPK 5 FOR (name, *) AND (year, *) \
+             WITH 0 IN /country/year|/country/name|/country/year",
+        )
+        .unwrap();
+        let plan = e.prepare(&req).unwrap();
+        let mut expected = vec![e.resolve_path("/country/year").unwrap()];
+        expected.push(e.resolve_path("/country/name").unwrap());
+        expected.sort_unstable();
+        assert_eq!(plan.term_inputs[0].allowed_paths, Some(expected));
+    }
+
+    #[test]
+    fn the_search_step_follows_the_searchers_own_predicate() {
+        let e = engine();
+        let plan = e.prepare(&SedaRequest::parse("TOPK 5 FOR (name, *)").unwrap()).unwrap();
+        assert!(plan.search_config().scans_single_term(plan.term_inputs.len()));
+        assert!(plan.steps().contains(&PlanStep::SingleTermScan { k: 5 }));
+        let two = SedaRequest::parse("CONNECTIONS 5 FOR (name, *) AND (year, *)").unwrap();
+        let plan = e.prepare(&two).unwrap();
+        assert!(matches!(plan.steps()[2], PlanStep::ThresholdJoin { k: 5, .. }));
     }
 
     #[test]

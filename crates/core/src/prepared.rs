@@ -1,15 +1,15 @@
 //! Prepared statements: plan once, execute many.
 //!
-//! [`SedaReader::prepare`](crate::SedaReader::prepare) compiles a
-//! [`SedaRequest`](crate::SedaRequest) through the full optimizer pipeline
-//! and wraps the result in a [`PreparedStatement`] that additionally owns
-//! the per-statement reusable state a single execution would rebuild from
-//! scratch: the materialized sorted posting lists of the search terms and a
-//! compactness memo shared across executions.  Re-executing a prepared
-//! statement skips parsing, validation, the rewrite passes, sorted access
-//! resolution and — after the first run — most connectivity label probes,
-//! while returning byte-identical payloads to a fresh
-//! [`execute`](crate::SedaReader::execute).
+//! [`SedaReader::prepare`](crate::SedaReader::prepare) plans a
+//! [`SedaRequest`](crate::SedaRequest) and wraps the [`QueryPlan`] in a
+//! [`PreparedStatement`] that additionally owns the per-statement reusable
+//! state a single execution would rebuild from scratch: the materialized
+//! sorted posting lists of the search terms and a compactness memo shared
+//! across executions.  A prepared statement runs through the same executor
+//! as a fresh [`execute`](crate::SedaReader::execute); it only lends that
+//! executor its term lists and memo, so re-executing skips parsing,
+//! validation, sorted-access resolution and — after the first run — most
+//! connectivity label probes, while returning byte-identical payloads.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -29,17 +29,15 @@
 //! assert_eq!(prepared.executions(), 3);
 //! ```
 
-use seda_topk::{MaterializedTerms, SearchStrategy, TupleScoreCache};
+use seda_topk::{MaterializedTerms, TupleScoreCache};
 
 use crate::error::SedaError;
 use crate::govern::RequestContext;
-use crate::optimize;
-use crate::plan::{PlanStep, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::reader::SedaReader;
-use crate::request::Statement;
 use crate::response::SedaResponse;
 
-/// A compiled, reusable statement: the optimized [`QueryPlan`] plus the
+/// A planned, reusable statement: the [`QueryPlan`] plus the
 /// cross-execution scratch (materialized term lists, compactness memo) that
 /// makes repeated execution cheap.
 ///
@@ -56,12 +54,13 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
-    /// The optimized plan this statement executes.
+    /// The plan this statement executes.
     pub fn plan(&self) -> &QueryPlan {
         &self.plan
     }
 
-    /// The plan transcript (steps, rewrite trail, compiled program).
+    /// The plan transcript; equal to [`QueryPlan::explain`] of a fresh
+    /// plan of the same request.
     pub fn explain(&self) -> String {
         self.plan.explain()
     }
@@ -77,34 +76,13 @@ impl PreparedStatement {
     }
 
     /// Re-parameterizes `k` without replanning, for the statement shapes
-    /// that carry one (`TOPK k`, `CONNECTIONS k`).  The plan shape is
-    /// unaffected — only the result bound changes — so the materialized
-    /// term lists and the compactness memo stay valid.  Returns `false`
-    /// (and changes nothing) for statements without a `k` parameter.
+    /// that carry one (`TOPK k`, `CONNECTIONS k`).  Only the result bound
+    /// changes, so the materialized term lists and the compactness memo stay
+    /// valid; the plan becomes the one [`crate::SedaEngine::prepare`] would
+    /// produce for the new `k`.  Returns `false` (and changes nothing) for
+    /// statements without a `k` parameter.
     pub fn set_k(&mut self, k: usize) -> bool {
-        match &mut self.plan.statement {
-            Statement::TopK { k: slot } | Statement::ConnectionSummary { k: slot } => *slot = k,
-            _ => return false,
-        }
-        self.plan.topk.k = k;
-        // The single-keyword rewrite is k-sensitive (the sorted-prefix scan
-        // is exact only while the candidate bound covers k); re-derive it.
-        let scan = self.plan.term_inputs.len() == 1 && self.plan.topk.candidate_limit >= k;
-        self.plan.strategy =
-            if scan { SearchStrategy::SingleTermScan } else { SearchStrategy::Join };
-        let candidate_limit = self.plan.topk.candidate_limit;
-        for step in &mut self.plan.steps {
-            if matches!(step, PlanStep::ThresholdJoin { .. } | PlanStep::SingleTermScan { .. }) {
-                *step = if scan {
-                    PlanStep::SingleTermScan { k }
-                } else {
-                    PlanStep::ThresholdJoin { k, candidate_limit }
-                };
-            }
-        }
-        self.plan.trail.push(format!("set-k: re-parameterized to k={k}"));
-        self.plan.program = optimize::compile(&self.plan);
-        true
+        self.plan.set_k(k)
     }
 
     /// Executes this statement through a reader of the same engine
@@ -206,7 +184,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(normalized(widened.payload), normalized(fresh.payload));
-        assert!(prepared.explain().contains("set-k: re-parameterized to k=3"));
+        assert!(prepared.explain().contains("k=3"), "{}", prepared.explain());
         // Statements without a k parameter refuse the re-parameterization.
         let mut twig = reader.prepare(&SedaRequest::parse("TWIG /country/name").unwrap()).unwrap();
         assert!(!twig.set_k(3));

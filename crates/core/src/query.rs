@@ -10,13 +10,11 @@
 //! (*, "United States") AND (trade_country, *) AND (percentage, *)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use seda_textindex::{FullTextQuery, QueryParseError};
 use seda_xmlstore::{Collection, NodeId, PathId};
 
 /// The context component of a query term.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContextSpec {
     /// Empty context (`*`): any node may satisfy the term.
     Any,
@@ -182,7 +180,7 @@ impl ContextSpec {
 }
 
 /// One query term: `(context, search_query)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryTerm {
     /// The context component.
     pub context: ContextSpec,
@@ -233,7 +231,7 @@ impl std::fmt::Display for QueryTerm {
 }
 
 /// A SEDA query: a set of query terms.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SedaQuery {
     /// The query terms, in user order.
     pub terms: Vec<QueryTerm>,

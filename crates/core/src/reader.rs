@@ -1,12 +1,18 @@
-//! Per-thread reader handles: the contention-free execution surface of the
-//! query facade.
+//! Per-thread reader handles: the one execution surface of the query facade.
 //!
 //! A [`SedaReader`] is a cheap handle over a shared [`SedaEngine`] that owns
 //! its own [`SearchScratch`] (posting-list buffers, candidate arenas,
-//! traversal scratch).  Every query a reader executes reuses that scratch, so N
-//! threads holding N readers serve queries fully in parallel without ever
-//! touching the engine's shared mutex — the reader-handle discipline that
-//! keeps per-reader state small and reusable.
+//! traversal scratch).  Every statement runs through one executor here: a
+//! `match` over the plan's [`Statement`] that runs the statement's fixed
+//! pipeline inside a panic-containment boundary, which rebuilds the scratch
+//! after a contained panic.  A [`PreparedStatement`] lends that executor its
+//! materialized term lists and compactness memo; nothing else differs
+//! between fresh and prepared execution.
+//!
+//! Each reader reuses its scratch across queries, so N threads holding N
+//! readers serve queries fully in parallel with no shared mutable state.  The
+//! engine's convenience methods ([`SedaEngine::top_k`],
+//! [`SedaEngine::complete_results`]) run through a temporary reader.
 //!
 //! ```
 //! use seda_core::{EngineConfig, SedaEngine, SedaRequest};
@@ -21,14 +27,14 @@
 //! assert_eq!(response.top_k().unwrap().tuples.len(), 1);
 //! ```
 
-use seda_olap::{aggregate, CubeQuery, CubeResult, QueryResultTable, StarSchemaBuild};
-use seda_topk::{LimitBreach, MaterializedTerms, SearchScratch, TopKResult, TupleScoreCache};
+use seda_olap::{aggregate, CubeQuery, QueryResultTable};
+use seda_topk::{LimitBreach, MaterializedTerms, SearchLimits, SearchScratch, TopKConfig};
+use seda_topk::{TopKResult, TupleScoreCache};
 
 use crate::engine::{catch_internal, SedaEngine};
 use crate::error::SedaError;
 use crate::govern::{RequestContext, Stopwatch};
 use crate::metrics::names;
-use crate::optimize::{EmitShape, PlanOp};
 use crate::parallel::{effective_parallelism, parallel_map_with};
 use crate::plan::QueryPlan;
 use crate::prepared::PreparedStatement;
@@ -86,18 +92,12 @@ fn truncate_payload(payload: &mut ResponsePayload, keep: usize) {
     }
 }
 
-/// Cross-execution state a [`PreparedStatement`] lends to the interpreter
-/// for one execution: the materialized term lists (skipping sorted-access
+/// Cross-execution state a [`PreparedStatement`] lends to the executor for
+/// one execution: the materialized term lists (skipping sorted-access
 /// resolution) and the compactness memo (skipping repeated label probes).
 struct PreparedState<'p> {
     materialized: Option<&'p MaterializedTerms>,
     cache: &'p mut TupleScoreCache,
-}
-
-/// A compiled program referenced a register no prior instruction filled —
-/// a compiler bug, surfaced as a contained internal error.
-fn empty_register(op: &'static str, register: &'static str) -> SedaError {
-    SedaError::Internal(format!("program invariant: {op} needs the {register} register"))
 }
 
 /// A per-thread query handle owning its own scratch buffers.
@@ -153,17 +153,9 @@ impl<'e> SedaReader<'e> {
         self.engine
     }
 
-    /// Deprecated alias of [`SedaEngine::prepare`]; use
-    /// [`SedaReader::prepare`] for a reusable statement or
-    /// [`SedaEngine::prepare`] for the bare plan.
-    #[deprecated(since = "0.1.0", note = "use SedaReader::prepare or SedaEngine::prepare")]
-    pub fn plan(&self, request: &SedaRequest) -> Result<QueryPlan, SedaError> {
-        self.engine.prepare(request)
-    }
-
-    /// Compiles a request into a reusable [`PreparedStatement`]: the fully
-    /// optimized plan plus the cross-execution state (materialized sorted
-    /// posting lists, compactness memo) that makes repeated execution cheap.
+    /// Plans a request into a reusable [`PreparedStatement`]: the plan plus
+    /// the cross-execution state (materialized sorted posting lists,
+    /// compactness memo) that makes repeated execution cheap.
     ///
     /// Preparing touches no reader scratch, and the returned statement may
     /// execute through *any* reader of this engine.
@@ -325,33 +317,13 @@ impl<'e> SedaReader<'e> {
         self.execute_plan_governed(plan, &RequestContext::unlimited())
     }
 
-    /// [`SedaReader::execute_plan`] under a per-request [`RequestContext`];
-    /// the panic-containment boundary of the execution path.
+    /// [`SedaReader::execute_plan`] under a per-request [`RequestContext`].
     pub fn execute_plan_governed(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
     ) -> Result<SedaResponse, SedaError> {
-        let outcome = catch_internal(|| self.execute_plan_inner(plan, ctx));
-        if matches!(outcome, Err(SedaError::Internal(_))) {
-            // A contained panic may have left this reader's scratch buffers
-            // mid-update; rebuild them so the next query starts clean.
-            self.scratch = SearchScratch::new();
-        }
-        if outcome.is_err() {
-            // Spans left open by the failed execution (including an unwound
-            // one) must not leak into the next request's trace.
-            self.tracer.reset();
-        }
-        outcome
-    }
-
-    fn execute_plan_inner(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-    ) -> Result<SedaResponse, SedaError> {
-        self.execute_program(plan, ctx, None)
+        self.execute_contained(plan, ctx, None)
     }
 
     /// Executes a [`PreparedStatement`] through this reader's scratch
@@ -364,7 +336,7 @@ impl<'e> SedaReader<'e> {
     }
 
     /// [`SedaReader::execute_prepared`] under a per-request
-    /// [`RequestContext`]: the interpreter runs over the statement's
+    /// [`RequestContext`]: the executor runs over the statement's
     /// materialized term lists and compactness memo instead of rebuilding
     /// them, with the same panic-containment and governance semantics as
     /// [`SedaReader::execute_plan_governed`].
@@ -375,230 +347,24 @@ impl<'e> SedaReader<'e> {
     ) -> Result<SedaResponse, SedaError> {
         let PreparedStatement { plan, materialized, cache, executions } = statement;
         let state = PreparedState { materialized: materialized.as_ref(), cache };
-        let outcome = catch_internal(|| self.execute_program(plan, ctx, Some(state)));
-        if matches!(outcome, Err(SedaError::Internal(_))) {
-            self.scratch = SearchScratch::new();
-        }
-        if outcome.is_err() {
-            self.tracer.reset();
-        } else {
+        let outcome = self.execute_contained(plan, ctx, Some(state));
+        if outcome.is_ok() {
             *executions += 1;
         }
         outcome
     }
 
-    /// The [`crate::PlanProgram`] interpreter: runs the compiled instruction
-    /// stream over a small register file (top-k, contexts, connections,
-    /// table, schema build, cube), with the same span names, governance
-    /// sites and truncation semantics as the fixed-sequence executor it
-    /// replaced ([`SedaReader::execute_plan_unoptimized`], kept as the
-    /// equivalence oracle).
-    fn execute_program(
+    /// The panic-containment boundary of every execution: a panic below
+    /// becomes [`SedaError::Internal`], after which this reader's scratch is
+    /// rebuilt (its buffers may be mid-update) and any spans the failed
+    /// execution left open are discarded.
+    fn execute_contained(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
-        mut prepared: Option<PreparedState<'_>>,
+        prepared: Option<PreparedState<'_>>,
     ) -> Result<SedaResponse, SedaError> {
-        self.tracer.begin_if_idle();
-        let exec_span = self.tracer.enter(span::EXECUTE);
-        let exec_start = Stopwatch::start();
-        let mut profile = ExecProfile::default();
-        ctx.check_cancelled()?;
-        let limits = ctx.search_limits();
-        let mut top_k: Option<TopKResult> = None;
-        let mut contexts: Option<ContextSummary> = None;
-        let mut connections: Option<ConnectionSummary> = None;
-        let mut table: Option<QueryResultTable> = None;
-        let mut build: Option<StarSchemaBuild> = None;
-        let mut cube: Option<CubeResult> = None;
-        let mut payload: Option<ResponsePayload> = None;
-        for op in plan.program().ops() {
-            match op {
-                PlanOp::Search { k, strategy } => {
-                    let s = self.tracer.enter(span::SEARCH);
-                    let before = profile.clone();
-                    let mut config = plan.search_config().clone();
-                    config.k = *k;
-                    let (result, _, breach) = match prepared.as_mut() {
-                        Some(state) => self.engine.search_compiled(
-                            &plan.term_inputs,
-                            &config,
-                            &limits,
-                            &mut self.scratch,
-                            state.materialized,
-                            Some(state.cache),
-                            *strategy,
-                        ),
-                        None => self.engine.search_compiled(
-                            &plan.term_inputs,
-                            &config,
-                            &limits,
-                            &mut self.scratch,
-                            None,
-                            None,
-                            *strategy,
-                        ),
-                    };
-                    profile.absorb(&result.stats);
-                    let mut counters = SpanCounters::delta(&before, &profile);
-                    counters.rows = result.tuples.len();
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(breach, ctx, &mut profile)?;
-                    top_k = Some(result);
-                }
-                PlanOp::ContextBuckets => {
-                    let query = plan
-                        .query
-                        .as_ref()
-                        .expect("invariant: the planner attaches a query to this statement shape");
-                    let s = self.tracer.enter(span::CONTEXT_SUMMARY);
-                    let summary = self.engine.context_summary(query);
-                    let counters =
-                        SpanCounters { rows: summary.total_contexts(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
-                    contexts = Some(summary);
-                }
-                PlanOp::DiscoverConnections => {
-                    ctx.check_cancelled()?;
-                    let top = top_k
-                        .as_ref()
-                        .ok_or_else(|| empty_register("discover-connections", "top-k"))?;
-                    let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
-                    let summary = self.engine.connection_summary(top);
-                    let counters = SpanCounters { rows: summary.len(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
-                    connections = Some(summary);
-                }
-                PlanOp::CompleteResults => {
-                    let query = plan
-                        .query
-                        .as_ref()
-                        .expect("invariant: the planner attaches a query to this statement shape");
-                    let s = self.tracer.enter(span::COMPLETE_RESULTS);
-                    let (rows, breach) = self.engine.complete_results_governed(
-                        query,
-                        &plan.selections,
-                        &plan.connections,
-                        &mut self.scratch,
-                        ctx,
-                    )?;
-                    let counters = SpanCounters { rows: rows.len(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    resolve_breach(breach, ctx, &mut profile)?;
-                    table = Some(rows);
-                }
-                PlanOp::TwigEvaluate => {
-                    let pattern = plan
-                        .pattern
-                        .as_ref()
-                        .expect("invariant: the planner compiles twig statements to a pattern");
-                    let s = self.tracer.enter(span::TWIG_EVALUATE);
-                    let (mut rows, nodes_visited) = self.engine.twig_table(pattern);
-                    let counters =
-                        SpanCounters { nodes_visited, rows: rows.len(), ..SpanCounters::default() };
-                    self.tracer.exit_with(s, counters);
-                    if let Some(breach) = ctx.twig_breach(rows.len()) {
-                        let keep = breach.budget as usize;
-                        resolve_breach(Some(breach), ctx, &mut profile)?;
-                        rows.rows.truncate(keep);
-                    }
-                    resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
-                    table = Some(rows);
-                }
-                PlanOp::DeriveStarSchema => {
-                    ctx.check_cancelled()?;
-                    let rows = table
-                        .as_ref()
-                        .ok_or_else(|| empty_register("derive-star-schema", "table"))?;
-                    let s = self.tracer.enter(span::DERIVE_STAR_SCHEMA);
-                    let derived = self.engine.build_star_schema(rows, &plan.cube_options);
-                    self.tracer.exit(s);
-                    build = Some(derived);
-                }
-                PlanOp::Aggregate => {
-                    let Statement::Cube { fact, group_by, agg, measure } = &plan.statement else {
-                        return Err(SedaError::Internal(
-                            "program invariant: aggregate outside a CUBE statement".to_string(),
-                        ));
-                    };
-                    let derived =
-                        build.as_ref().ok_or_else(|| empty_register("aggregate", "schema"))?;
-                    let fact_table = derived
-                        .schema
-                        .fact(fact)
-                        .ok_or_else(|| SedaError::UnknownFact(fact.clone()))?;
-                    let measure = measure.clone().unwrap_or_else(|| fact.clone());
-                    let group_refs: Vec<&str> = group_by.iter().map(String::as_str).collect();
-                    let cube_query = CubeQuery::sum(&group_refs, &measure).with_agg(*agg);
-                    let s = self.tracer.enter(span::AGGREGATE);
-                    let result = aggregate(fact_table, &cube_query);
-                    let counters = SpanCounters {
-                        rows: result.as_ref().map(|c| c.rows_scanned).unwrap_or(0),
-                        ..SpanCounters::default()
-                    };
-                    self.tracer.exit_with(s, counters);
-                    let mut result = result?;
-                    if let Some(breach) = ctx.cube_breach(result.len()) {
-                        let keep = breach.budget as usize;
-                        resolve_breach(Some(breach), ctx, &mut profile)?;
-                        result.cells.truncate(keep);
-                    }
-                    cube = Some(result);
-                }
-                PlanOp::Emit(shape) => {
-                    payload = Some(match shape {
-                        EmitShape::TopK => ResponsePayload::TopK(
-                            top_k.take().ok_or_else(|| empty_register("emit", "top-k"))?,
-                        ),
-                        EmitShape::Contexts => ResponsePayload::Contexts(
-                            contexts.take().ok_or_else(|| empty_register("emit", "contexts"))?,
-                        ),
-                        EmitShape::Connections => ResponsePayload::Connections {
-                            top_k: top_k.take().ok_or_else(|| empty_register("emit", "top-k"))?,
-                            summary: connections
-                                .take()
-                                .ok_or_else(|| empty_register("emit", "connections"))?,
-                        },
-                        EmitShape::Table => ResponsePayload::Table(
-                            table.take().ok_or_else(|| empty_register("emit", "table"))?,
-                        ),
-                        EmitShape::Cube => ResponsePayload::Cube {
-                            build: build.take().ok_or_else(|| empty_register("emit", "schema"))?,
-                            cube: cube.take().ok_or_else(|| empty_register("emit", "cube"))?,
-                        },
-                    });
-                }
-            }
-        }
-        let mut payload = payload.ok_or_else(|| {
-            SedaError::Internal("program invariant: no emit instruction ran".to_string())
-        })?;
-        if let Some(breach) = ctx.row_breach(payload.rows()) {
-            let keep = breach.budget as usize;
-            resolve_breach(Some(breach), ctx, &mut profile)?;
-            truncate_payload(&mut payload, keep);
-        }
-        profile.exec_secs = exec_start.elapsed_secs();
-        profile.rows = payload.rows();
-        profile.settle_budget_spent();
-        self.tracer.exit(exec_span);
-        profile.spans = self.tracer.take_spans();
-        Ok(SedaResponse { payload, profile })
-    }
-
-    /// The pre-optimizer fixed-sequence executor, kept verbatim as the
-    /// equivalence oracle: the `optimizer_equivalence` suite pins the
-    /// interpreter's payloads and work counters against it, statement shape
-    /// by statement shape.  Not part of the supported API.
-    #[doc(hidden)]
-    pub fn execute_plan_unoptimized(
-        &mut self,
-        plan: &QueryPlan,
-        ctx: &RequestContext,
-    ) -> Result<SedaResponse, SedaError> {
-        let outcome = catch_internal(|| self.execute_fixed_inner(plan, ctx));
+        let outcome = catch_internal(|| self.execute_statement(plan, ctx, prepared));
         if matches!(outcome, Err(SedaError::Internal(_))) {
             self.scratch = SearchScratch::new();
         }
@@ -608,33 +374,21 @@ impl<'e> SedaReader<'e> {
         outcome
     }
 
-    fn execute_fixed_inner(
+    /// The executor: runs the statement's fixed pipeline.
+    fn execute_statement(
         &mut self,
         plan: &QueryPlan,
         ctx: &RequestContext,
+        prepared: Option<PreparedState<'_>>,
     ) -> Result<SedaResponse, SedaError> {
         self.tracer.begin_if_idle();
         let exec_span = self.tracer.enter(span::EXECUTE);
         let exec_start = Stopwatch::start();
         let mut profile = ExecProfile::default();
         ctx.check_cancelled()?;
-        let limits = ctx.search_limits();
         let mut payload = match &plan.statement {
-            Statement::TopK { k } => {
-                let s = self.tracer.enter(span::SEARCH);
-                let before = profile.clone();
-                let (result, _, breach) = self.engine.search_terms_governed(
-                    &plan.term_inputs,
-                    *k,
-                    &limits,
-                    &mut self.scratch,
-                );
-                profile.absorb(&result.stats);
-                let mut counters = SpanCounters::delta(&before, &profile);
-                counters.rows = result.tuples.len();
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
-                ResponsePayload::TopK(result)
+            Statement::TopK { .. } => {
+                ResponsePayload::TopK(self.search(plan, ctx, &mut profile, prepared)?)
             }
             Statement::ContextSummary => {
                 let query = plan
@@ -649,20 +403,8 @@ impl<'e> SedaReader<'e> {
                 resolve_breach(ctx.deadline_breach(), ctx, &mut profile)?;
                 ResponsePayload::Contexts(contexts)
             }
-            Statement::ConnectionSummary { k } => {
-                let s = self.tracer.enter(span::SEARCH);
-                let before = profile.clone();
-                let (top_k, _, breach) = self.engine.search_terms_governed(
-                    &plan.term_inputs,
-                    *k,
-                    &limits,
-                    &mut self.scratch,
-                );
-                profile.absorb(&top_k.stats);
-                let mut counters = SpanCounters::delta(&before, &profile);
-                counters.rows = top_k.tuples.len();
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
+            Statement::ConnectionSummary { .. } => {
+                let top_k = self.search(plan, ctx, &mut profile, prepared)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DISCOVER_CONNECTIONS);
                 let summary = self.engine.connection_summary(&top_k);
@@ -672,22 +414,7 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Connections { top_k, summary }
             }
             Statement::CompleteResults => {
-                let query = plan
-                    .query
-                    .as_ref()
-                    .expect("invariant: the planner attaches a query to this statement shape");
-                let s = self.tracer.enter(span::COMPLETE_RESULTS);
-                let (table, breach) = self.engine.complete_results_governed(
-                    query,
-                    &plan.selections,
-                    &plan.connections,
-                    &mut self.scratch,
-                    ctx,
-                )?;
-                let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
-                ResponsePayload::Table(table)
+                ResponsePayload::Table(self.complete_result_table(plan, ctx, &mut profile)?)
             }
             Statement::Twig { .. } => {
                 let pattern = plan
@@ -708,21 +435,7 @@ impl<'e> SedaReader<'e> {
                 ResponsePayload::Table(table)
             }
             Statement::Cube { fact, group_by, agg, measure } => {
-                let query = plan
-                    .query
-                    .as_ref()
-                    .expect("invariant: the planner attaches a query to this statement shape");
-                let s = self.tracer.enter(span::COMPLETE_RESULTS);
-                let (table, breach) = self.engine.complete_results_governed(
-                    query,
-                    &plan.selections,
-                    &plan.connections,
-                    &mut self.scratch,
-                    ctx,
-                )?;
-                let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
-                self.tracer.exit_with(s, counters);
-                resolve_breach(breach, ctx, &mut profile)?;
+                let table = self.complete_result_table(plan, ctx, &mut profile)?;
                 ctx.check_cancelled()?;
                 let s = self.tracer.enter(span::DERIVE_STAR_SCHEMA);
                 let build = self.engine.build_star_schema(&table, &plan.cube_options);
@@ -761,6 +474,63 @@ impl<'e> SedaReader<'e> {
         Ok(SedaResponse { payload, profile })
     }
 
+    /// The search step of `TOPK` and `CONNECTIONS`: the searcher over the
+    /// plan's term inputs, or over a prepared statement's materialized lists
+    /// and compactness memo.
+    fn search(
+        &mut self,
+        plan: &QueryPlan,
+        ctx: &RequestContext,
+        profile: &mut ExecProfile,
+        prepared: Option<PreparedState<'_>>,
+    ) -> Result<TopKResult, SedaError> {
+        let (materialized, cache) = match prepared {
+            Some(state) => (state.materialized, Some(state.cache)),
+            None => (None, None),
+        };
+        let s = self.tracer.enter(span::SEARCH);
+        let before = profile.clone();
+        let (result, breach) = self.engine.search_terms_governed(
+            &plan.term_inputs,
+            &plan.topk,
+            &ctx.search_limits(),
+            &mut self.scratch,
+            materialized,
+            cache,
+        );
+        profile.absorb(&result.stats);
+        let mut counters = SpanCounters::delta(&before, profile);
+        counters.rows = result.tuples.len();
+        self.tracer.exit_with(s, counters);
+        resolve_breach(breach, ctx, profile)?;
+        Ok(result)
+    }
+
+    /// The complete-result step of `RESULTS` and `CUBE`.
+    fn complete_result_table(
+        &mut self,
+        plan: &QueryPlan,
+        ctx: &RequestContext,
+        profile: &mut ExecProfile,
+    ) -> Result<QueryResultTable, SedaError> {
+        let query = plan
+            .query
+            .as_ref()
+            .expect("invariant: the planner attaches a query to this statement shape");
+        let s = self.tracer.enter(span::COMPLETE_RESULTS);
+        let (table, breach) = self.engine.complete_results_governed(
+            query,
+            &plan.selections,
+            &plan.connections,
+            &mut self.scratch,
+            ctx,
+        )?;
+        let counters = SpanCounters { rows: table.len(), ..SpanCounters::default() };
+        self.tracer.exit_with(s, counters);
+        resolve_breach(breach, ctx, profile)?;
+        Ok(table)
+    }
+
     // ----- typed helpers (the surface `SedaSession` composes) -----
 
     /// Top-k search through this reader's scratch; never contends.
@@ -770,12 +540,8 @@ impl<'e> SedaReader<'e> {
         selections: &ContextSelections,
         k: usize,
     ) -> (TopKResult, ExecProfile) {
-        let (result, query_profile) =
-            self.engine.top_k_scratch(query, selections, k, &mut self.scratch);
-        let mut profile =
-            ExecProfile { exec_secs: query_profile.wall_secs, ..ExecProfile::default() };
-        profile.absorb(&result.stats);
-        profile.rows = result.tuples.len();
+        let (result, profile, _) =
+            self.search_query(query, selections, k, &SearchLimits::unlimited());
         (result, profile)
     }
 
@@ -791,16 +557,36 @@ impl<'e> SedaReader<'e> {
         ctx: &RequestContext,
     ) -> Result<(TopKResult, ExecProfile), SedaError> {
         ctx.check_cancelled()?;
-        let limits = ctx.search_limits();
-        let (result, query_profile, breach) =
-            self.engine.top_k_scratch_governed(query, selections, k, &limits, &mut self.scratch);
-        let mut profile =
-            ExecProfile { exec_secs: query_profile.wall_secs, ..ExecProfile::default() };
-        profile.absorb(&result.stats);
+        let (result, mut profile, breach) =
+            self.search_query(query, selections, k, &ctx.search_limits());
         resolve_breach(breach, ctx, &mut profile)?;
-        profile.rows = result.tuples.len();
         profile.settle_budget_spent();
         Ok((result, profile))
+    }
+
+    /// Resolves a query's term inputs and searches them for the top `k`.
+    fn search_query(
+        &mut self,
+        query: &SedaQuery,
+        selections: &ContextSelections,
+        k: usize,
+        limits: &SearchLimits,
+    ) -> (TopKResult, ExecProfile, Option<LimitBreach>) {
+        let start = Stopwatch::start();
+        let terms = self.engine.term_inputs(query, selections);
+        let config = TopKConfig { k, ..self.engine.config().topk.clone() };
+        let (result, breach) = self.engine.search_terms_governed(
+            &terms,
+            &config,
+            limits,
+            &mut self.scratch,
+            None,
+            None,
+        );
+        let mut profile = ExecProfile { exec_secs: start.elapsed_secs(), ..ExecProfile::default() };
+        profile.absorb(&result.stats);
+        profile.rows = result.tuples.len();
+        (result, profile, breach)
     }
 
     /// Context summary of a query (read-only, no scratch needed).
@@ -819,8 +605,17 @@ impl<'e> SedaReader<'e> {
         query: &SedaQuery,
         selections: &ContextSelections,
         connections: &[seda_dataguide::Connection],
-    ) -> Result<seda_olap::QueryResultTable, SedaError> {
-        self.engine.complete_results_scratch(query, selections, connections, &mut self.scratch)
+    ) -> Result<QueryResultTable, SedaError> {
+        let unlimited = RequestContext::unlimited();
+        self.engine
+            .complete_results_governed(
+                query,
+                selections,
+                connections,
+                &mut self.scratch,
+                &unlimited,
+            )
+            .map(|(table, _)| table)
     }
 }
 
@@ -947,34 +742,11 @@ mod tests {
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("plan: TOPK"), "{transcript}");
-        // The optimizer's single-keyword pass rewrites the one-term join
-        // into a scan; the transcript shows the rewrite trail and program.
+        // One term is searched by a scan of its sorted postings.
         assert!(transcript.contains("single-term sorted-prefix scan"), "{transcript}");
-        assert!(transcript.contains("rewrites:"), "{transcript}");
-        assert!(transcript.contains("program:"), "{transcript}");
         let response = reader.execute_text("EXPLAIN TOPK 5 FOR (name, *) AND (year, *)").unwrap();
         let transcript = response.explain_transcript().unwrap();
         assert!(transcript.contains("threshold-algorithm rank join"), "{transcript}");
-    }
-
-    #[test]
-    fn readers_never_touch_the_shared_engine_scratch() {
-        let e = engine();
-        let before = e.shared_scratch_queries();
-        let mut reader = e.reader();
-        for _ in 0..5 {
-            reader.execute_text("TOPK 5 FOR (trade_country, *)").unwrap();
-            reader.execute_text("RESULTS FOR (trade_country, *) AND (percentage, *)").unwrap();
-        }
-        assert_eq!(
-            e.shared_scratch_queries(),
-            before,
-            "reader-handle queries must bypass the engine's shared scratch mutex"
-        );
-        // The legacy convenience path does count.
-        let q = SedaQuery::parse("(trade_country, *)").unwrap();
-        let _ = e.top_k(&q, &ContextSelections::none(), 3);
-        assert_eq!(e.shared_scratch_queries(), before + 1);
     }
 
     #[test]

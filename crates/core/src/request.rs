@@ -23,8 +23,6 @@
 //! canonical textual form, and `parse ∘ render` is the identity on parsed
 //! requests — the round-trip the facade's serialisation tests pin.
 
-use serde::{Deserialize, Serialize};
-
 use seda_dataguide::Connection;
 use seda_olap::{AggFn, BuildOptions};
 use seda_xmlstore::PathId;
@@ -34,7 +32,7 @@ use crate::query::{QueryError, SedaQuery};
 use crate::summaries::ContextSelections;
 
 /// Which unit of the Fig. 4 engine a request drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// Threshold-Algorithm top-k search.
     TopK {
@@ -107,7 +105,7 @@ fn parse_agg(name: &str) -> Result<AggFn, SedaError> {
 }
 
 /// One request → one [`crate::SedaResponse`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SedaRequest {
     /// What to compute.
     pub statement: Statement,

@@ -6,8 +6,6 @@
 //! Algorithm, label probes of the connectivity-oracle checks, rows produced,
 //! and the plan/execution wall split.
 
-use serde::{Deserialize, Serialize};
-
 use seda_olap::{CubeResult, QueryResultTable, StarSchemaBuild};
 use seda_topk::{SearchStats, TopKResult};
 
@@ -15,7 +13,7 @@ use crate::summaries::{ConnectionSummary, ContextSummary};
 use crate::trace::SpanRecord;
 
 /// Unified work counters and wall time of one request → response trip.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecProfile {
     /// Seconds spent planning (validation + context resolution).
     pub plan_secs: f64,
@@ -104,7 +102,7 @@ impl ExecProfile {
 }
 
 /// The statement-shaped result of a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponsePayload {
     /// Result of a `TOPK` statement.
     TopK(TopKResult),
@@ -146,7 +144,7 @@ impl ResponsePayload {
 }
 
 /// The response of one executed request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SedaResponse {
     /// The statement-shaped result.
     pub payload: ResponsePayload,

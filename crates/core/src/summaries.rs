@@ -1,7 +1,5 @@
 //! Context and connection summaries (Sec. 5 and 6).
 
-use serde::{Deserialize, Serialize};
-
 use seda_dataguide::Connection;
 use seda_textindex::PathEntry;
 use seda_xmlstore::{Collection, PathId};
@@ -9,7 +7,7 @@ use seda_xmlstore::{Collection, PathId};
 /// The context bucket of one query term: every distinct path the term appears
 /// in across the entire collection, with absolute path frequencies, sorted by
 /// descending frequency (the order the SEDA GUI displays).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContextBucket {
     /// Index of the query term this bucket belongs to.
     pub term: usize,
@@ -35,7 +33,7 @@ impl ContextBucket {
 }
 
 /// The context summary of a query: one bucket per query term.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContextSummary {
     /// One bucket per query term, in term order.
     pub buckets: Vec<ContextBucket>,
@@ -55,7 +53,7 @@ impl ContextSummary {
 
 /// The connection summary of a query: the pairwise connections observed
 /// between the nodes of the top-k result, most frequent first.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ConnectionSummary {
     /// The connections, most frequent first.
     pub connections: Vec<Connection>,
@@ -92,7 +90,7 @@ impl ConnectionSummary {
 }
 
 /// Per-term context selections made by the user in the context summary panel.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ContextSelections {
     selections: Vec<(usize, Vec<PathId>)>,
 }

@@ -28,8 +28,6 @@
 //! xtask lint` confines raw `Instant::now` reads to `govern`), as offsets
 //! from the tracer's last [`Tracer::begin`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::govern::Stopwatch;
 use crate::response::ExecProfile;
 
@@ -38,7 +36,7 @@ use crate::response::ExecProfile;
 pub mod span {
     /// Textual request parsing ([`crate::SedaRequest::parse`]).
     pub const PARSE: &str = "parse";
-    /// Planning ([`crate::SedaEngine::plan`]).
+    /// Planning ([`crate::SedaEngine::prepare`]).
     pub const PLAN: &str = "plan";
     /// Whole plan execution (parent of the per-step spans).
     pub const EXECUTE: &str = "execute";
@@ -77,7 +75,7 @@ pub mod span {
 
 /// Work-counter deltas attributed to one span: how much of the profile's
 /// total each phase consumed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanCounters {
     /// Sorted posting-list accesses within the span.
     pub sorted_accesses: usize,
@@ -134,7 +132,7 @@ impl SpanCounters {
 
 /// One closed span: a named phase with its nesting depth, start offset from
 /// the tracer's epoch, measured wall time and attributed counter deltas.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanRecord {
     /// Phase name (see [`span`]).
     pub name: String,

@@ -1,10 +1,8 @@
 //! Serialisation round-trips of the facade's request types.
 //!
-//! `Statement` and `SedaRequest` derive the workspace's `Serialize` /
-//! `Deserialize` markers, but the offline serde stand-in has no data format;
-//! the canonical wire form is the textual front-end, so the round-trip under
-//! test is `parse ∘ render = id` — fixed cases here, property-generated
-//! requests in the companion proptest module below.
+//! The canonical wire form of a request is the textual front-end, so the
+//! round-trip under test is `parse ∘ render = id` — fixed cases here,
+//! property-generated requests in the companion proptest module below.
 
 use proptest::prelude::*;
 

@@ -10,14 +10,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use seda_xmlstore::{Collection, Result};
 
 use crate::names;
 
 /// Configuration of the Google-Base-like generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GoogleBaseConfig {
     /// Number of item documents.
     pub items: usize,

@@ -14,14 +14,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use seda_xmlstore::{Collection, Result};
 
 use crate::names;
 
 /// Configuration of the Mondial-like generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MondialConfig {
     /// Number of country documents.
     pub countries: usize,

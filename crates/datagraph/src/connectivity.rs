@@ -31,8 +31,6 @@
 //! entries scanned is counted as `label_probes` — the successor of the old
 //! `bfs_visits` counter in query profiles.
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId};
 
 use crate::graph::{DataGraph, Edge, GraphShard};
@@ -52,7 +50,7 @@ const UNSET: u32 = u32::MAX;
 
 /// Labeling scheme of a document (shared by every document of its
 /// component).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LabelScheme {
     /// Centroid-decomposition tree labels: exact at any distance.  Used for
     /// documents with no cross edges (always singleton components).
@@ -69,7 +67,7 @@ pub enum LabelScheme {
 /// afterwards.  All label state lives in three flat arrays, CSR-style: node
 /// `i`'s entries are `hubs[offsets[i]..offsets[i+1]]` (sorted ascending) with
 /// parallel distances in `dists`.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct ConnectivityIndex {
     /// Exactness radius of the hub labels ([`LABEL_RADIUS`] at build time).
     pub(crate) radius: u16,

@@ -15,12 +15,10 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, PathId};
 
 /// Identifier of a dataguide within a [`DataGuideSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GuideId(pub u32);
 
 impl GuideId {
@@ -31,7 +29,7 @@ impl GuideId {
 }
 
 /// One dataguide: a set of root-to-leaf paths plus the documents it covers.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataGuide {
     pub(crate) paths: BTreeSet<PathId>,
     pub(crate) documents: Vec<DocId>,
@@ -103,7 +101,7 @@ impl DataGuide {
 }
 
 /// Statistics of a built dataguide set — one row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataGuideStats {
     /// Number of documents summarised.
     pub documents: usize,
@@ -125,7 +123,7 @@ pub struct DataGuideStats {
 /// construction and parallelises per document; the greedy 40%-threshold merge
 /// is order-sensitive, so it runs once over all shards' guides in document
 /// order, guaranteeing the merged set is identical to the sequential build.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataGuideShard {
     guides: Vec<(DocId, DataGuide)>,
 }
@@ -148,7 +146,7 @@ impl DataGuideShard {
 }
 
 /// A collection of merged dataguides plus the document → guide assignment.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataGuideSet {
     pub(crate) guides: Vec<DataGuide>,
     pub(crate) assignment: HashMap<DocId, GuideId>,

@@ -14,8 +14,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, NodeId};
 
 use crate::key::{KeyPart, KeyViolation, RelativeKey};
@@ -23,7 +21,7 @@ use crate::schema::{Registry, SchemaDef, SchemaRole};
 use crate::table::{DimensionTable, FactRow, FactTable, QueryResultTable, StarSchema};
 
 /// How a result column relates to the registry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnMatch {
     /// Column index in R(q).
     pub column: usize,
@@ -36,7 +34,7 @@ pub struct ColumnMatch {
 }
 
 /// Outcome of the matching step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MatchingOutcome {
     /// Per-column matches.
     pub columns: Vec<ColumnMatch>,
@@ -91,7 +89,7 @@ pub fn match_result(
 
 /// Options of the augmentation step: the user may add facts/dimensions the
 /// matching step did not find and remove ones it did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildOptions {
     /// Names of registry definitions to add to the final sets.
     pub add: Vec<String>,
@@ -100,7 +98,7 @@ pub struct BuildOptions {
 }
 
 /// Result of building a star schema.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StarSchemaBuild {
     /// The matching-step outcome (before augmentation).
     pub matching: MatchingOutcome,

@@ -9,12 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::FactTable;
 
 /// Aggregation functions supported by the cube engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFn {
     /// Sum of the measure.
     Sum,
@@ -29,7 +27,7 @@ pub enum AggFn {
 }
 
 /// A cube/aggregation query over one fact table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CubeQuery {
     /// Dimension columns to group by (may be empty for a grand total).
     pub group_by: Vec<String>,
@@ -67,7 +65,7 @@ impl CubeQuery {
 }
 
 /// One cell of an aggregated cube.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CubeCell {
     /// Group-by coordinate values, aligned with the query's `group_by`.
     pub coordinates: Vec<String>,
@@ -78,7 +76,7 @@ pub struct CubeCell {
 }
 
 /// Result of a cube query.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CubeResult {
     /// The group-by dimensions of the query.
     pub group_by: Vec<String>,
@@ -110,7 +108,7 @@ impl CubeResult {
 }
 
 /// Errors produced by the cube engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CubeError {
     /// A group-by or filter dimension does not exist in the fact table.
     UnknownDimension(String),

@@ -8,12 +8,10 @@
 //! `(/country, /country/year, ../trade_country)`: for every percentage node
 //! the key collects the country, the year and the sibling trade country.
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, NodeId, RelativeStep};
 
 /// One component of a relative key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyPart {
     /// Absolute path expression, evaluated from the document root.
     Absolute(String),
@@ -41,7 +39,7 @@ impl KeyPart {
 }
 
 /// A relative key: an ordered list of key parts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RelativeKey {
     parts: Vec<KeyPart>,
 }
@@ -50,7 +48,7 @@ pub struct RelativeKey {
 pub type KeyValues = Vec<String>;
 
 /// Problems detected while evaluating or verifying a key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KeyViolation {
     /// A key part evaluated to no node for the given keyed node.
     MissingComponent {

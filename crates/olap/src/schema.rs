@@ -7,14 +7,12 @@
 //! the same concept differently (the paper's example: `GDP` before 2005,
 //! `GDP_ppp` afterwards).
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, PathId};
 
 use crate::key::RelativeKey;
 
 /// One `(context, key)` entry of a fact's or dimension's context list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContextEntry {
     /// Root-to-leaf path (in `/a/b/c` notation) where instances of this fact
     /// or dimension are found.
@@ -31,7 +29,7 @@ impl ContextEntry {
 }
 
 /// Whether a definition denotes a fact (measure) or a dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemaRole {
     /// A measure to aggregate (e.g. the import trade percentage).
     Fact,
@@ -40,7 +38,7 @@ pub enum SchemaRole {
 }
 
 /// Definition of one fact or dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaDef {
     /// Unique name (e.g. `Import-trade-percentage`, `country`, `year`).
     pub name: String,
@@ -93,7 +91,7 @@ impl SchemaDef {
 /// The registry of facts and dimensions known to the system.  "These sets are
 /// initially provided by a system administrator and are expanded by users
 /// during query processing."
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     defs: Vec<SchemaDef>,
 }

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, NodeId, PathId};
 
 /// The full (non-top-k) result of a SEDA query, as described in Sec. 1/7:
@@ -12,7 +10,7 @@ use seda_xmlstore::{Collection, NodeId, PathId};
 /// node reference, and the other one contains the full root-to-leaf path of
 /// the node."  Here the node reference carries the document and ordinal (from
 /// which the Dewey id is recoverable) and the path is the interned context.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryResultTable {
     /// Human-readable label per query term (e.g. the term's textual form).
     pub column_names: Vec<String>,
@@ -63,7 +61,7 @@ impl QueryResultTable {
 
 /// A dimension table of the derived star schema: the dimension name and its
 /// distinct member values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimensionTable {
     /// Dimension name (e.g. `country`, `year`, `import-country`).
     pub name: String,
@@ -92,7 +90,7 @@ impl DimensionTable {
 }
 
 /// A fact table of the derived star schema.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FactTable {
     /// Name of the fact (or of the merged facts) this table holds.
     pub name: String,
@@ -105,7 +103,7 @@ pub struct FactTable {
 }
 
 /// One row of a fact table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactRow {
     /// Dimension values, aligned with `dimension_columns`.
     pub dimensions: Vec<String>,
@@ -190,7 +188,7 @@ impl FactTable {
 
 /// A derived star schema: fact tables plus their dimension tables, ready to be
 /// handed to an OLAP engine.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StarSchema {
     /// Fact tables (one per fact, after merging facts with identical keys).
     pub fact_tables: Vec<FactTable>,

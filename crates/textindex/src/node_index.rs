@@ -28,8 +28,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use seda_xmlstore::{Collection, DocId, Document, NodeId, PathId};
 
 use crate::dict::{TermDict, TermId};
@@ -37,7 +35,7 @@ use crate::query::FullTextQuery;
 use crate::tokenize::{terms, tokenize};
 
 /// One posting: a node containing a term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Posting {
     /// Node containing the term.
     pub node: NodeId,
@@ -48,7 +46,7 @@ pub struct Posting {
 }
 
 /// A node matched by a query, with its content score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredNode {
     /// The matching node.
     pub node: NodeId,
@@ -57,7 +55,7 @@ pub struct ScoredNode {
 }
 
 /// Inverted full-text index over the direct text content of nodes.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct NodeIndex {
     pub(crate) postings: HashMap<String, Vec<Posting>>,
     /// Tokenised direct text of every indexed node (random access / phrase
@@ -92,7 +90,7 @@ pub struct NodeIndex {
 /// Shards carry globally valid [`NodeId`]s and [`PathId`]s because documents
 /// of a [`Collection`] share its symbol and path intern tables, so merging is
 /// a plain k-way union with no id remapping.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct NodeIndexShard {
     doc: Option<DocId>,
     postings: HashMap<String, Vec<Posting>>,

@@ -31,8 +31,8 @@ pub mod types;
 
 pub use searcher::{SearchScratch, TopKSearcher};
 pub use types::{
-    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, SearchStrategy,
-    TermInput, TopKConfig, TopKResult, TupleScoreCache,
+    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
+    TopKResult, TupleScoreCache,
 };
 
 #[cfg(test)]

@@ -39,8 +39,8 @@ use seda_textindex::{NodeIndex, ScoredNode};
 use seda_xmlstore::{Collection, NodeId};
 
 use crate::types::{
-    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, SearchStrategy,
-    TermInput, TopKConfig, TopKResult, TupleScoreCache,
+    LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
+    TopKResult, TupleScoreCache,
 };
 
 /// Reusable buffers of the top-k search: posting lists, the flat candidate
@@ -205,14 +205,13 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
     ) -> (TopKResult, Option<LimitBreach>) {
-        self.search_governed_with(terms, config, limits, scratch, None, SearchStrategy::Join)
+        self.search_governed_with(terms, config, limits, scratch, None)
     }
 
-    /// [`TopKSearcher::search_governed`] with the optimizer's knobs: an
-    /// optional compactness memo and the compiled [`SearchStrategy`].  The
-    /// strategy only short-circuits when it reproduces the join loop exactly
-    /// (one term, candidate limit ≥ k), so results and stats always match
-    /// the plain governed search.
+    /// [`TopKSearcher::search_governed`] with an optional compactness memo
+    /// shared across searches.  A single term is answered by a scan of its
+    /// sorted posting prefix whenever [`TopKConfig::scans_single_term`]
+    /// holds, which reproduces the join loop's tuples and stats exactly.
     pub fn search_governed_with(
         &self,
         terms: &[TermInput],
@@ -220,16 +219,12 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         if terms.is_empty() || config.k == 0 {
             return (TopKResult { tuples: Vec::new(), stats: SearchStats::default() }, None);
         }
         self.fill_term_lists(terms, scratch);
-        if strategy == SearchStrategy::SingleTermScan
-            && terms.len() == 1
-            && config.candidate_limit >= config.k
-        {
+        if config.scans_single_term(terms.len()) {
             return self.scan_single_term(config, limits, scratch);
         }
         self.search_filled(terms.len(), config, limits, scratch, cache)
@@ -259,16 +254,12 @@ impl<'a> TopKSearcher<'a> {
     }
 
     /// Runs the governed search over pre-materialised term lists, optionally
-    /// memoising compactness scores in `cache` and short-circuiting through
-    /// `strategy`.
+    /// memoising compactness scores in `cache`.
     ///
     /// The lists are copied into the scratch buffers (reusing their capacity)
-    /// and the identical join loop runs over them, so results are equal to
-    /// [`TopKSearcher::search_governed`] over the terms the lists were
-    /// materialised from.  With [`SearchStrategy::SingleTermScan`] and exactly
-    /// one list, the degenerate single-term case is answered by a direct scan
-    /// of the sorted prefix (same tuples, same termination behaviour, no join
-    /// machinery).
+    /// and the identical search runs over them — including the single-term
+    /// scan — so results are equal to [`TopKSearcher::search_governed`] over
+    /// the terms the lists were materialised from.
     pub fn search_materialized_governed(
         &self,
         materialized: &MaterializedTerms,
@@ -276,7 +267,6 @@ impl<'a> TopKSearcher<'a> {
         limits: &SearchLimits,
         scratch: &mut SearchScratch,
         cache: Option<&mut TupleScoreCache>,
-        strategy: SearchStrategy,
     ) -> (TopKResult, Option<LimitBreach>) {
         let m = materialized.lists.len();
         if m == 0 || config.k == 0 {
@@ -288,10 +278,7 @@ impl<'a> TopKSearcher<'a> {
         for (src, dst) in materialized.lists.iter().zip(scratch.lists.iter_mut()) {
             dst.clone_from(src);
         }
-        if strategy == SearchStrategy::SingleTermScan
-            && m == 1
-            && config.candidate_limit >= config.k
-        {
+        if config.scans_single_term(m) {
             return self.scan_single_term(config, limits, scratch);
         }
         self.search_filled(m, config, limits, scratch, cache)
@@ -424,6 +411,9 @@ impl<'a> TopKSearcher<'a> {
         positions.resize(m, 0);
         kth_scores.clear();
 
+        // On a graph with one document component every pair passes the
+        // same-component filter, so the per-pair lookups are skipped.
+        let many_components = self.graph.doc_component_count() > 1;
         let mut buffer: BinaryHeap<HeapTuple> = BinaryHeap::new();
         let mut breach: Option<LimitBreach> = None;
 
@@ -486,10 +476,7 @@ impl<'a> TopKSearcher<'a> {
                                 // Component pruning: a tuple spanning two
                                 // disconnected document components can never
                                 // be connected, so skip it before the BFS.
-                                // The optimizer clears the flag on
-                                // single-component graphs, where the check
-                                // always passes.
-                                if config.prune_components
+                                if many_components
                                     && !self.graph.same_component(candidate.node, new_node.node)
                                 {
                                     continue;
@@ -679,6 +666,7 @@ impl<'a> TopKSearcher<'a> {
         }
         stats.sorted_accesses = lists.iter().map(Vec::len).sum();
         let m = lists.len();
+        let many_components = self.graph.doc_component_count() > 1;
 
         combo_nodes.clear();
         combo_scores.clear();
@@ -690,7 +678,7 @@ impl<'a> TopKSearcher<'a> {
             'combos: for (c, &content) in combo_scores.iter().enumerate() {
                 let run = &combo_nodes[c * stride..(c + 1) * stride];
                 for (ci, candidate) in list.iter().enumerate() {
-                    if config.prune_components {
+                    if many_components {
                         if let Some(&first) = run.first() {
                             if !self.graph.same_component(first, candidate.node) {
                                 continue;
@@ -1086,7 +1074,6 @@ mod tests {
             &limits,
             &mut scratch,
             None,
-            SearchStrategy::Join,
         );
         assert!(breach.is_none());
         assert_eq!(fresh.tuples, replayed.tuples);
@@ -1110,7 +1097,6 @@ mod tests {
             &limits,
             &mut scratch,
             Some(&mut cache),
-            SearchStrategy::Join,
         );
         assert!(cold.stats.label_probes > 0);
         assert!(cache.misses() > 0 && cache.hits() == 0);
@@ -1120,7 +1106,6 @@ mod tests {
             &limits,
             &mut scratch,
             Some(&mut cache),
-            SearchStrategy::Join,
         );
         assert_eq!(cold.tuples, warm.tuples, "memoisation must not change the answer");
         assert!(cache.hits() > 0);
@@ -1145,38 +1130,25 @@ mod tests {
         let mut scratch = SearchScratch::new();
         for k in [1usize, 2, 10] {
             let config = TopKConfig::with_k(k);
-            let (join, _) = searcher.search_governed(&terms, &config, &limits, &mut scratch);
-            let (scan, breach) = searcher.search_materialized_governed(
+            assert!(config.scans_single_term(terms.len()));
+            // The join loop itself, bypassing the scan the public entry
+            // points choose for one term.
+            searcher.fill_term_lists(&terms, &mut scratch);
+            let (join, _) = searcher.search_filled(1, &config, &limits, &mut scratch, None);
+            let (fresh, breach) = searcher.search_governed(&terms, &config, &limits, &mut scratch);
+            assert!(breach.is_none());
+            assert_eq!(join.tuples, fresh.tuples, "k={k}");
+            assert_eq!(join.stats, fresh.stats, "k={k}");
+            let (replayed, breach) = searcher.search_materialized_governed(
                 &materialized,
                 &config,
                 &limits,
                 &mut scratch,
                 None,
-                SearchStrategy::SingleTermScan,
             );
             assert!(breach.is_none());
-            assert_eq!(join.tuples, scan.tuples, "k={k}");
-            assert_eq!(join.stats, scan.stats, "k={k}");
-        }
-    }
-
-    #[test]
-    fn disabling_component_pruning_on_one_component_changes_nothing() {
-        let c = factbook_fragment();
-        let (index, graph) = searcher_parts(&c);
-        let searcher = TopKSearcher::new(&c, &index, &graph);
-        let terms = query1_terms(&c);
-        let pruned = searcher.search(&terms, &TopKConfig::with_k(5));
-        let mut unpruned_config = TopKConfig::with_k(5);
-        unpruned_config.prune_components = false;
-        let unpruned = searcher.search(&terms, &unpruned_config);
-        if graph.doc_component_count() == 1 {
-            assert_eq!(pruned, unpruned);
-        } else {
-            // Cross-component tuples are scored but stay disconnected: same
-            // tuples, more work.
-            assert_eq!(pruned.tuples, unpruned.tuples);
-            assert!(unpruned.stats.tuples_scored >= pruned.stats.tuples_scored);
+            assert_eq!(join.tuples, replayed.tuples, "k={k}");
+            assert_eq!(join.stats, replayed.stats, "k={k}");
         }
     }
 

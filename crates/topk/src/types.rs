@@ -2,15 +2,13 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use seda_textindex::{FullTextQuery, ScoredNode};
 use seda_xmlstore::{NodeId, PathId};
 
 /// One search input per query term: the full-text expression plus an optional
 /// context restriction (the set of allowed root-to-leaf paths the user picked
 /// in the context summary).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TermInput {
     /// The full-text search expression of the query term.
     pub query: FullTextQuery,
@@ -33,7 +31,7 @@ impl TermInput {
 }
 
 /// Configuration of a top-k search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopKConfig {
     /// Number of result tuples to return.
     pub k: usize,
@@ -51,13 +49,6 @@ pub struct TopKConfig {
     /// point; the number of dropped combinations is reported in
     /// [`SearchStats::candidates_truncated`] rather than lost silently.
     pub candidate_limit: usize,
-    /// When true (the default), candidate pairs spanning two disconnected
-    /// document components are skipped before the connectivity BFS.  The
-    /// optimizer clears this on graphs with a single component, where the
-    /// check always passes: results and stats are identical either way (the
-    /// random-access counter is bumped after the check), the per-pair
-    /// component lookups just disappear.
-    pub prune_components: bool,
 }
 
 impl Default for TopKConfig {
@@ -68,7 +59,6 @@ impl Default for TopKConfig {
             content_weight: 1.0,
             structure_weight: 1.0,
             candidate_limit: 200_000,
-            prune_components: true,
         }
     }
 }
@@ -77,6 +67,14 @@ impl TopKConfig {
     /// Convenience constructor fixing only `k`.
     pub fn with_k(k: usize) -> Self {
         TopKConfig { k, ..TopKConfig::default() }
+    }
+
+    /// True when a search over `terms` query terms is answered by scanning
+    /// the one term's sorted posting prefix instead of running the rank
+    /// join.  The scan reproduces the join's tuples, stats and termination
+    /// exactly only while the candidate bound covers `k`.
+    pub fn scans_single_term(&self, terms: usize) -> bool {
+        terms == 1 && self.candidate_limit >= self.k
     }
 }
 
@@ -143,7 +141,7 @@ pub struct LimitBreach {
 }
 
 /// A scored result tuple `<n1, …, nm>` (Definition 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResultTuple {
     /// One node per query term, in query-term order.
     pub nodes: Vec<NodeId>,
@@ -157,7 +155,7 @@ pub struct ResultTuple {
 
 /// Counters describing the work a search performed; used to demonstrate the
 /// Threshold Algorithm's early termination.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Entries consumed from sorted posting lists.
     pub sorted_accesses: usize,
@@ -180,7 +178,7 @@ pub struct SearchStats {
 }
 
 /// Result of a top-k search.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopKResult {
     /// The top tuples, best first.
     pub tuples: Vec<ResultTuple>,
@@ -194,22 +192,6 @@ impl TopKResult {
     pub fn node_tuples(&self) -> Vec<Vec<NodeId>> {
         self.tuples.iter().map(|t| t.nodes.clone()).collect()
     }
-}
-
-/// How the compiled plan drives the top-k search.
-///
-/// Chosen by the plan optimizer at prepare time; the default is the general
-/// Threshold-Algorithm rank join.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SearchStrategy {
-    /// The Threshold-Algorithm rank join over all term lists (general case).
-    #[default]
-    Join,
-    /// Single-keyword shortcut: one term degenerates to ranked retrieval — a
-    /// direct scan of the sorted posting prefix with no join machinery.  Only
-    /// applied when it reproduces the join's tuples, stats and termination
-    /// behaviour exactly (one term, candidate limit ≥ k).
-    SingleTermScan,
 }
 
 /// Per-term sorted-access lists materialised once at prepare time, so a
@@ -324,8 +306,11 @@ mod tests {
         assert_eq!(c.k, 10);
         assert!(c.max_depth > 0);
         assert!(c.content_weight > 0.0 && c.structure_weight > 0.0);
-        assert!(c.prune_components, "component pruning is on unless the optimizer clears it");
         assert_eq!(TopKConfig::with_k(3).k, 3);
+        assert!(TopKConfig::with_k(3).scans_single_term(1));
+        assert!(!TopKConfig::with_k(3).scans_single_term(2));
+        let tight = TopKConfig { candidate_limit: 2, ..TopKConfig::with_k(3) };
+        assert!(!tight.scans_single_term(1), "the scan needs the candidate bound to cover k");
     }
 
     #[test]
@@ -349,7 +334,6 @@ mod tests {
         assert_eq!(m.term_count(), 2);
         assert_eq!(m.list_len(0), 0);
         assert_eq!(m.list_len(7), 0, "out-of-range terms read as empty");
-        assert_eq!(SearchStrategy::default(), SearchStrategy::Join);
     }
 
     #[test]

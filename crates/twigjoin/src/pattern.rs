@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use seda_textindex::FullTextQuery;
 
 /// Error produced when a textual twig path cannot be compiled into a
@@ -35,7 +33,7 @@ impl fmt::Display for TwigParseError {
 impl std::error::Error for TwigParseError {}
 
 /// Axis between a pattern node and its parent pattern node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
     /// Direct parent/child edge (`/`).
     Child,
@@ -44,7 +42,7 @@ pub enum Axis {
 }
 
 /// One node of a twig pattern.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TwigNode {
     /// Element/attribute label the node must match.
     pub label: String,
@@ -61,7 +59,7 @@ pub struct TwigNode {
 }
 
 /// A query pattern tree.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TwigPattern {
     nodes: Vec<TwigNode>,
 }

@@ -6,8 +6,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::{Document, DocumentBuilder};
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId};
@@ -15,7 +13,7 @@ use crate::path::{PathId, PathTable};
 use crate::symbol::{Symbol, SymbolTable};
 
 /// A collection of XML documents sharing one symbol table and one path table.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Collection {
     symbols: SymbolTable,
     paths: PathTable,

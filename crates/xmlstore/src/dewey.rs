@@ -13,11 +13,9 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A Dewey order identifier: the path of 1-based child ordinals from the
 /// document root down to a node.  The root element of every document is `[1]`.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct DeweyId {
     components: Vec<u32>,
 }

@@ -1,7 +1,5 @@
 //! Documents and the programmatic document builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dewey::DeweyId;
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId, NodeKind};
@@ -9,7 +7,7 @@ use crate::path::{LabelPath, PathId, PathTable};
 use crate::symbol::{Symbol, SymbolTable};
 
 /// A stored XML document: an arena of nodes in document order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Identifier of the document within its collection.
     pub id: DocId,
@@ -165,7 +163,7 @@ impl Document {
 }
 
 /// One step of a relative path expression (used by relative XML keys).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RelativeStep {
     /// `..` — move to the parent.
     Parent,

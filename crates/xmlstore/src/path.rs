@@ -9,12 +9,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::symbol::{Symbol, SymbolTable};
 
 /// Interned identifier for a distinct root-to-leaf label path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathId(pub u32);
 
 impl PathId {
@@ -26,7 +24,7 @@ impl PathId {
 
 /// A single interned path: the sequence of label symbols from the document
 /// root to the node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelPath {
     steps: Vec<Symbol>,
 }
@@ -77,10 +75,9 @@ impl LabelPath {
 }
 
 /// Append-only intern table for label paths.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PathTable {
     paths: Vec<LabelPath>,
-    #[serde(skip)]
     lookup: HashMap<LabelPath, PathId>,
 }
 

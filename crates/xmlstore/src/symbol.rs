@@ -6,10 +6,8 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Interned identifier for an element or attribute name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
 impl Symbol {
@@ -20,10 +18,9 @@ impl Symbol {
 }
 
 /// Append-only intern table for names.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
     names: Vec<String>,
-    #[serde(skip)]
     lookup: HashMap<String, Symbol>,
 }
 

@@ -154,3 +154,55 @@ fn analyze_payload_is_the_explain_shape() {
     assert_eq!(response.payload.rows(), 0);
     assert!(response.profile.rows > 0);
 }
+
+#[test]
+fn explain_is_a_pure_function_of_engine_and_request() {
+    let e = engine();
+    let mut reader = e.reader();
+    let explain = format!("EXPLAIN TOPK 5 FOR {QUERY} {REFINEMENT}");
+    let before = reader.execute_text(&explain).unwrap().explain_transcript().unwrap().to_string();
+    let workload = [
+        format!("TOPK 5 FOR {QUERY}"),
+        format!("TOPK 5 FOR {QUERY} {REFINEMENT}"),
+        format!("CONNECTIONS 3 FOR {QUERY}"),
+        format!("CONTEXTS FOR {QUERY}"),
+        format!("RESULTS FOR {QUERY} {REFINEMENT}"),
+    ];
+    for text in workload.iter().cycle().take(50) {
+        reader.execute_text(text).unwrap();
+    }
+    let after = reader.execute_text(&explain).unwrap().explain_transcript().unwrap().to_string();
+    assert_eq!(before, after, "executed requests must not leak into EXPLAIN");
+}
+
+#[test]
+fn set_k_explains_like_a_freshly_prepared_statement() {
+    // A candidate bound of 3 puts the single-term scan↔join boundary
+    // between k=3 (scan) and k=4 (join).
+    let config = seda_core::EngineConfig {
+        topk: seda_core::seda_topk::TopKConfig { candidate_limit: 3, ..Default::default() },
+        ..seda_core::EngineConfig::default()
+    };
+    let collection = parse_collection(vec![(
+        "us.xml",
+        r#"<country><name>United States</name><year>2006</year></country>"#,
+    )])
+    .unwrap();
+    let e = SedaEngine::build(collection, Registry::new(), config).unwrap();
+    let reader = e.reader();
+    for terms in ["(name, *)", "(name, *) AND (year, *)"] {
+        let mut prepared =
+            reader.prepare(&SedaRequest::parse(&format!("TOPK 1 FOR {terms}")).unwrap()).unwrap();
+        for k in [3, 4, 1, 200] {
+            assert!(prepared.set_k(k));
+            let fresh =
+                reader.prepare(&SedaRequest::parse(&format!("TOPK {k} FOR {terms}")).unwrap());
+            assert_eq!(prepared.explain(), fresh.unwrap().explain(), "k={k} {terms}");
+        }
+    }
+    let mut one = reader.prepare(&SedaRequest::parse("TOPK 1 FOR (name, *)").unwrap()).unwrap();
+    assert!(one.set_k(3));
+    assert!(one.explain().contains("single-term sorted-prefix scan: k=3"), "{}", one.explain());
+    assert!(one.set_k(4));
+    assert!(one.explain().contains("rank join: k=4, candidate limit 3"), "{}", one.explain());
+}

@@ -7,7 +7,6 @@
 
 #![cfg(feature = "failpoints")]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
@@ -94,34 +93,6 @@ fn build_site_faults_fail_sequential_and_sharded_builds_cleanly() {
     }
     disarm_all();
     assert!(engine_with_parallelism(2).is_ok(), "unarmed sharded build succeeds");
-}
-
-#[test]
-fn scratch_lock_panic_poisons_and_the_engine_recovers_in_place() {
-    let _guard = serialise();
-    let engine = engine_with_parallelism(1).expect("engine build");
-    let query = SedaQuery::parse(r#"(*, "United States") AND (trade_country, *)"#).unwrap();
-    let baseline = engine.top_k(&query, &ContextSelections::none(), 5);
-    assert!(!baseline.tuples.is_empty(), "workload must produce matches");
-
-    // The site fires while the shared scratch mutex is held, so the panic
-    // poisons it.  `engine.top_k` is an infallible signature: the panic
-    // propagates to the caller here (readers route through catch_unwind).
-    arm("scratch-lock", FaultAction::Panic);
-    let panicked =
-        catch_unwind(AssertUnwindSafe(|| engine.top_k(&query, &ContextSelections::none(), 5)));
-    assert!(panicked.is_err(), "armed scratch-lock must panic through top_k");
-    disarm_all();
-
-    // The next query recovers the poisoned mutex in place (clear + reuse) —
-    // it must NOT fall back to a throwaway fresh scratch.
-    let recovered = engine.top_k(&query, &ContextSelections::none(), 5);
-    assert_eq!(recovered.tuples, baseline.tuples, "recovery must not change answers");
-    assert_eq!(
-        engine.fresh_scratch_fallbacks(),
-        0,
-        "poison recovery must reuse the shared scratch, not abandon it"
-    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Read-path regression tests: document components are a build-time artifact
-//! (built exactly once per engine, never per search), the engine's cached
-//! search scratch does not change answers, and `QueryProfile` reports the
-//! work a query performed.
+//! (built exactly once per engine, never per search), repeated engine-level
+//! queries give identical answers, and `top_k_profiled` reports the work a
+//! query performed as an `ExecProfile`.
 
 use seda_core::{ContextSelections, EngineConfig, SedaEngine, SedaQuery};
 use seda_datagen::{mondial, MondialConfig};
@@ -68,7 +68,7 @@ fn cached_scratch_queries_match_across_repeats() {
     let engine = small_engine();
     let query = SedaQuery::parse("(name, *) AND (population, *)").unwrap();
     let selections = ContextSelections::none();
-    // Repeated engine-level queries run through the shared cached scratch;
+    // Repeated engine-level queries each run through a temporary reader;
     // answers must be identical every time.
     let first = engine.top_k(&query, &selections, 10);
     assert!(!first.tuples.is_empty());
@@ -83,12 +83,17 @@ fn query_profile_reports_the_work() {
     let query = SedaQuery::parse("(name, *) AND (population, *)").unwrap();
     let (result, profile) = engine.top_k_profiled(&query, &ContextSelections::none(), 5);
     assert!(!result.tuples.is_empty());
-    assert_eq!(profile.stats, result.stats, "profile carries the search's own counters");
-    assert!(profile.stats.sorted_accesses > 0);
-    assert!(profile.stats.tuples_scored > 0);
-    assert!(profile.stats.label_probes > 0, "connectivity checks must be accounted");
-    assert_eq!(profile.stats.candidates_truncated, 0);
-    assert!(profile.wall_secs > 0.0);
+    // The profile carries the search's own counters.
+    assert_eq!(profile.sorted_accesses, result.stats.sorted_accesses);
+    assert_eq!(profile.random_accesses, result.stats.random_accesses);
+    assert_eq!(profile.tuples_scored, result.stats.tuples_scored);
+    assert_eq!(profile.label_probes, result.stats.label_probes);
+    assert_eq!(profile.rows, result.tuples.len());
+    assert!(profile.sorted_accesses > 0);
+    assert!(profile.tuples_scored > 0);
+    assert!(profile.label_probes > 0, "connectivity checks must be accounted");
+    assert_eq!(profile.candidates_truncated, 0);
+    assert!(profile.exec_secs > 0.0);
     let rendered = profile.render();
     assert!(rendered.contains("sorted"), "render mentions the counters: {rendered}");
 }
