@@ -30,9 +30,9 @@ impl SedaEngine {
     /// Verifies every structural invariant of the engine's frozen substrates:
     /// the collection's Dewey order and tree linkage, both full-text indexes'
     /// dictionary/postings/CSR invariants, the data graph's adjacency
-    /// symmetry, component partition and connectivity labels, and the
-    /// dataguide summary's path index and document assignment.  Returns every
-    /// violation found rather than stopping at the first.
+    /// symmetry, component partition, connectivity labels and context graph,
+    /// and the dataguide summary's path index and document assignment.
+    /// Returns every violation found rather than stopping at the first.
     ///
     /// A freshly built engine always passes; [`SedaEngine::build`] enforces
     /// this before returning and reports the cost in
@@ -48,6 +48,7 @@ impl SedaEngine {
         take(self.node_index().verify());
         take(self.context_index().verify());
         take(self.graph().verify());
+        take(self.graph().verify_contexts(self.collection()));
         take(self.guides().verify());
         take(self.metrics().verify());
         finish(violations)

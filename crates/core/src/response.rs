@@ -33,7 +33,8 @@ pub struct ExecProfile {
     /// Label entries scanned by connectivity-oracle intersections during
     /// connectivity/compactness checks.
     pub label_probes: u64,
-    /// True when the Threshold Algorithm stopped early.
+    /// True when the Threshold Algorithm stopped on its threshold with
+    /// unseen postings left.
     pub early_terminated: bool,
     /// Rows (tuples, bucket entries, connections, table rows or cube cells)
     /// in the payload.

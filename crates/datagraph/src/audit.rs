@@ -12,6 +12,7 @@
 //! | `labels-radius` | hub-scheme label distances never exceed the advertised radius |
 //! | `labels-sound` | hub pruning kept the 2-hop cover sound: every adjacency edge answers distance 1 |
 //! | `scratch-epoch` | traversal scratch arrays stay parallel and no stamp exceeds the current epoch |
+//! | `context-graph` | the context CSR is well-formed, sorted, symmetric and loop-free ([`DataGraph::verify`]); it holds every (path, parent path) edge and the context image of every cross edge ([`DataGraph::verify_contexts`]) |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`]; see there for the
 //! catalog conventions.
@@ -19,7 +20,7 @@
 use std::collections::HashMap;
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
-use seda_xmlstore::NodeId;
+use seda_xmlstore::{Collection, NodeId, PathId};
 
 use crate::connectivity::LabelScheme;
 use crate::graph::{DataGraph, EdgeKind};
@@ -69,8 +70,10 @@ fn check_offsets(
 
 impl DataGraph {
     /// Verifies the frozen graph: CSR well-formedness of both adjacency
-    /// arenas, cross-edge symmetry, the document component partition, and
-    /// the connectivity oracle's label invariants.
+    /// arenas, cross-edge symmetry, the document component partition, the
+    /// connectivity oracle's label invariants and the shape of the context
+    /// graph.  What the context graph must contain is checked against the
+    /// collection by [`DataGraph::verify_contexts`].
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
         if self.doc_offsets.is_empty() {
@@ -124,7 +127,108 @@ impl DataGraph {
             self.verify_components(&mut violations, docs);
         }
         self.verify_labels(&mut violations, node_count, docs, cross_ok && doc_ok && adj_ok);
+        self.verify_context_shape(&mut violations);
         finish(violations)
+    }
+
+    /// Verifies that the context graph covers the collection the graph was
+    /// merged from: every path is linked to its parent path, and both
+    /// contexts of every cross edge are linked (class `context-graph`).  A
+    /// malformed context CSR is reported instead of walked.
+    pub fn verify_contexts(&self, collection: &Collection) -> AuditResult {
+        let mut violations = Vec::new();
+        if self.doc_offsets.is_empty() {
+            return finish(violations);
+        }
+        if self.context_count() != collection.paths().len() {
+            violations.push(InvariantViolation::new(
+                SUBSTRATE,
+                "context-graph",
+                format!(
+                    "context graph spans {} contexts, the collection has {} paths",
+                    self.context_count(),
+                    collection.paths().len()
+                ),
+            ));
+            return finish(violations);
+        }
+        self.verify_context_shape(&mut violations);
+        if !violations.is_empty() {
+            return finish(violations);
+        }
+        let mut require = |a: PathId, b: PathId, what: &str| {
+            if a != b && self.context_neighbors(a).binary_search(&b).is_err() {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "context-graph",
+                    format!("{what} edge {} -- {} is missing", a.0, b.0),
+                ));
+            }
+        };
+        // One (path, parent path) check per path, reached through any node
+        // of the path that has a parent.
+        let mut checked = vec![false; collection.paths().len()];
+        for doc in collection.documents() {
+            for (_, node) in doc.iter() {
+                let Some(parent) = node.parent.and_then(|p| doc.node(p).ok()) else { continue };
+                match checked.get_mut(node.path.index()) {
+                    Some(done) if !*done => *done = true,
+                    _ => continue,
+                }
+                require(node.path, parent.path, "parent-path");
+            }
+        }
+        if self.cross_offsets.len() == self.node_count() + 1 {
+            for dense in 0..self.node_count() {
+                let range = self.cross_range(dense);
+                if range.is_empty() {
+                    continue;
+                }
+                let Ok(a) = collection.context(self.node_id(dense as u32)) else { continue };
+                for &(to, _) in range {
+                    if let Ok(b) = collection.context(to) {
+                        require(a, b, "cross-edge image");
+                    }
+                }
+            }
+        }
+        finish(violations)
+    }
+
+    /// Shape of the context CSR: offsets monotone over the target arena,
+    /// targets in bounds, rows strictly ascending (sorted and deduplicated),
+    /// no self-loops, every edge mirrored.
+    fn verify_context_shape(&self, violations: &mut Vec<InvariantViolation>) {
+        let count = self.context_count();
+        let mut broken = |detail: String| {
+            violations.push(InvariantViolation::new(SUBSTRATE, "context-graph", detail));
+        };
+        let offsets = &self.context_offsets;
+        if offsets.first() != Some(&0)
+            || offsets.last().map(|&o| o as usize) != Some(self.context_targets.len())
+            || offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            broken(format!(
+                "context offsets are not a monotone cover of {} targets",
+                self.context_targets.len()
+            ));
+            return;
+        }
+        for c in 0..count {
+            let row = self.context_neighbors(PathId(c as u32));
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                broken(format!("context {c}: neighbours not strictly ascending"));
+            }
+            for &next in row {
+                if next.index() >= count {
+                    broken(format!("context {c}: neighbour {} beyond {count} contexts", next.0));
+                } else if next.index() == c {
+                    broken(format!("context {c}: self-loop"));
+                } else if self.context_neighbors(next).binary_search(&PathId(c as u32)).is_err() {
+                    broken(format!("context edge {c} -> {} has no mirror", next.0));
+                }
+            }
+        }
     }
 
     fn cross_range(&self, dense: usize) -> &[(NodeId, EdgeKind)] {
@@ -359,6 +463,25 @@ impl DataGraph {
         self.connectivity.dists[entry] = dist;
     }
 
+    /// Test-only corruption hook: removes the undirected context edge
+    /// `a -- b`, keeping the CSR well-formed and symmetric (breaks
+    /// `context-graph` coverage when the edge is required).  Returns `false`
+    /// when the edge is absent.
+    #[doc(hidden)]
+    pub fn corrupt_remove_context_edge(&mut self, a: PathId, b: PathId) -> bool {
+        let mut removed = false;
+        for (from, to) in [(a, b), (b, a)] {
+            let Ok(pos) = self.context_neighbors(from).binary_search(&to) else { continue };
+            let at = self.context_offsets[from.index()] as usize + pos;
+            self.context_targets.remove(at);
+            for offset in &mut self.context_offsets[from.index() + 1..] {
+                *offset -= 1;
+            }
+            removed = true;
+        }
+        removed
+    }
+
     /// The label entry range of one dense node (sizing input for the
     /// corruption suite).
     #[doc(hidden)]
@@ -501,6 +624,43 @@ mod tests {
         assert!(scratch.corrupt_stamp_future());
         let violations = scratch.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "scratch-epoch"), "{violations:?}");
+    }
+
+    #[test]
+    fn context_graph_checks_catch_missing_and_one_sided_edges() {
+        let c = parse_collection(vec![
+            ("sea.xml", r#"<sea id="s"><bordering country_idref="c"/></sea>"#),
+            ("c.xml", r#"<country id="c"><name>C</name></country>"#),
+        ])
+        .unwrap();
+        let fresh = DataGraph::build(&c, &GraphConfig::default());
+        fresh.verify_contexts(&c).unwrap();
+        let bordering = c.paths().get_str(c.symbols(), "/sea/bordering").unwrap();
+        let country = c.paths().get_str(c.symbols(), "/country").unwrap();
+
+        // Dropping the cross-edge image keeps the CSR well-formed, so only the
+        // coverage check sees it.
+        let mut g = fresh.clone();
+        assert!(g.corrupt_remove_context_edge(bordering, country));
+        g.verify().unwrap();
+        let violations = g.verify_contexts(&c).unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "context-graph"), "{violations:?}");
+        assert!(violations.iter().any(|v| v.detail.contains("cross-edge image")));
+
+        // Dropping one direction only breaks symmetry, which verify() sees.
+        let mut g = fresh.clone();
+        let at = g.context_offsets[country.index()] as usize;
+        g.context_targets.remove(at);
+        for offset in &mut g.context_offsets[country.index() + 1..] {
+            *offset -= 1;
+        }
+        let violations = g.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "context-graph"), "{violations:?}");
+
+        // A graph merged over another collection does not cover this one.
+        let other = parse_collection(vec![("x.xml", "<x><y>1</y></x>")]).unwrap();
+        let violations = fresh.verify_contexts(&other).unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "context-graph"), "{violations:?}");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use seda_xmlstore::{Collection, DocId, NodeId, NodeKind};
+use seda_xmlstore::{Collection, DocId, NodeId, NodeKind, PathId};
 
 use crate::config::GraphConfig;
 use crate::connectivity::{centroid_tree_labels, ConnectivityIndex};
+use crate::context::build_context_graph;
 
 /// Kind of an edge in the data graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +63,9 @@ pub fn doc_component_builds_on_this_thread() -> usize {
 ///   [`DataGraph::cross_neighbors`] and [`DataGraph::edges`].
 ///
 /// The per-document connected components over cross edges (the pruning
-/// structure the top-k searchers use) are computed once here as well.
+/// structure the top-k searchers use) and the context graph (the image of
+/// every edge under node → context, see [`crate::context`]) are computed
+/// once here as well.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct DataGraph {
     /// Prefix sums of document node counts: dense index of `(doc, ord)` is
@@ -84,6 +87,11 @@ pub struct DataGraph {
     /// time from the shard tree labels plus a landmark pass over cross-linked
     /// components.
     pub(crate) connectivity: ConnectivityIndex,
+    /// Context-graph CSR offsets over `PathId`s, length `path count + 1`
+    /// (see [`crate::context`]).
+    pub(crate) context_offsets: Vec<u32>,
+    /// Context-graph targets: sorted, deduplicated, symmetric, no self-loops.
+    pub(crate) context_targets: Vec<PathId>,
     pub(crate) edge_count: usize,
     id_nodes: usize,
     idref_nodes: usize,
@@ -305,15 +313,19 @@ impl DataGraph {
         }
         graph.edge_count = edges.len();
 
-        graph.freeze_adjacency(collection, &edges);
+        let parent_paths = graph.freeze_adjacency(collection, &edges);
         graph.doc_component = compute_doc_components(collection.len(), &edges);
         let connectivity = ConnectivityIndex::assemble(collection, &graph, &shards, &edges);
         graph.connectivity = connectivity;
+        (graph.context_offsets, graph.context_targets) =
+            build_context_graph(collection, &parent_paths, &edges);
         graph
     }
 
     /// Builds both CSR adjacency lists from the resolved cross edges.
-    fn freeze_adjacency(&mut self, collection: &Collection, edges: &[Edge]) {
+    /// Returns the parent path of every path (`u32::MAX` for root paths),
+    /// read off the tree edges as they are laid out, for the context graph.
+    fn freeze_adjacency(&mut self, collection: &Collection, edges: &[Edge]) -> Vec<u32> {
         let node_count = self.node_count();
 
         // Cross-edge CSR (symmetric).  Two counting passes keep the per-node
@@ -350,6 +362,7 @@ impl DataGraph {
         self.adj_offsets = prefix_sums(&adj_degree);
         let total = *self.adj_offsets.last().unwrap_or(&0) as usize;
         self.adj_targets = vec![(0u32, EdgeKind::ParentChild); total];
+        let mut parent_paths = vec![u32::MAX; collection.paths().len()];
         for doc in collection.documents() {
             let base = self.doc_offsets[doc.id.index()];
             for (ordinal, node) in doc.iter() {
@@ -358,6 +371,11 @@ impl DataGraph {
                 if let Some(parent) = node.parent {
                     self.adj_targets[slot] = (base + parent, EdgeKind::ParentChild);
                     slot += 1;
+                    if let (Some(entry), Ok(parent)) =
+                        (parent_paths.get_mut(node.path.index()), doc.node(parent))
+                    {
+                        *entry = parent.path.0;
+                    }
                 }
                 for &child in &node.children {
                     self.adj_targets[slot] = (base + child, EdgeKind::ParentChild);
@@ -372,6 +390,7 @@ impl DataGraph {
                 }
             }
         }
+        parent_paths
     }
 
     /// Total number of nodes addressable in the graph (the collection's node

@@ -8,7 +8,7 @@
 //! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id per term |
 //! | `csr-offsets` | `posting_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the arena length |
 //! | `postings-sorted` | every per-term posting slice is sorted by (score desc, node asc), scores finite, nodes distinct |
-//! | `node-side-table` | slots are dense and ascending by node id; `node_slots` is the exact inverse; side tables align |
+//! | `node-side-table` | slots are dense and ascending by node id; `node_slots` is the exact inverse; side tables align; the per-path match-all runs hold every slot once, under its own path, in (score desc, node asc) order |
 //! | `context-paths` | every path referenced by the context index is a member of its own `all_paths` universe |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`] so every substrate
@@ -198,6 +198,45 @@ impl NodeIndex {
                 ));
             }
         }
+        self.verify_path_runs(violations);
+    }
+
+    /// The match-all runs partition the slots by context path.
+    fn verify_path_runs(&self, violations: &mut Vec<InvariantViolation>) {
+        let offsets = &self.path_run_offsets;
+        let slots = &self.path_run_slots;
+        let mut broken = |detail: String| {
+            violations.push(InvariantViolation::new(SUBSTRATE, "node-side-table", detail));
+        };
+        if slots.len() != self.slot_paths.len()
+            || offsets.first().copied().unwrap_or(0) != 0
+            || offsets.last().copied().unwrap_or(0) as usize != slots.len()
+            || offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            broken(format!(
+                "match-all runs: {} offsets over {} slots for {} indexed nodes",
+                offsets.len(),
+                slots.len(),
+                self.slot_paths.len()
+            ));
+            return;
+        }
+        let mut seen = vec![false; slots.len()];
+        for (path, run) in offsets.windows(2).enumerate() {
+            let run = &slots[run[0] as usize..run[1] as usize];
+            for &slot in run {
+                let owner = self.slot_paths.get(slot as usize).map(|p| p.index());
+                if owner != Some(path) || std::mem::replace(&mut seen[slot as usize], true) {
+                    broken(format!("match-all run of path {path} holds slot {slot} wrongly"));
+                }
+            }
+            let key = |slot: u32| {
+                (self.slot_token_counts.get(slot as usize).map_or(0, |&t| t.max(1)), slot)
+            };
+            if run.windows(2).any(|w| key(w[0]) >= key(w[1])) {
+                broken(format!("match-all run of path {path} is not in score order"));
+            }
+        }
     }
 
     /// Test-only corruption hook: swaps two entries of the frozen posting
@@ -226,6 +265,14 @@ impl NodeIndex {
     #[doc(hidden)]
     pub fn corrupt_swap_slot_nodes(&mut self, a: usize, b: usize) {
         self.slot_nodes.swap(a, b);
+    }
+
+    /// Test-only corruption hook: swaps two entries of the match-all run
+    /// arena (breaks `node-side-table` when the slots lie in different
+    /// paths' runs).
+    #[doc(hidden)]
+    pub fn corrupt_swap_path_run_slots(&mut self, a: usize, b: usize) {
+        self.path_run_slots.swap(a, b);
     }
 
     /// The number of entries in the frozen posting arena (sizing input for
@@ -364,6 +411,16 @@ mod tests {
     fn swapped_slots_fail_side_table() {
         let (_, mut index) = sample();
         index.corrupt_swap_slot_nodes(0, 1);
+        let violations = index.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
+    }
+
+    #[test]
+    fn misplaced_match_all_run_slot_fails_side_table() {
+        let (_, mut index) = sample();
+        // The first and last runs belong to different paths.
+        let last = index.indexed_node_count() - 1;
+        index.corrupt_swap_path_run_slots(0, last);
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
     }

@@ -21,10 +21,12 @@
 //! are interned into a [`TermDict`], per-term posting lists are stored in one
 //! CSR arena **pre-sorted by descending content score** (idf folded in), and
 //! a dense node side table carries each indexed node's context path and token
-//! length for random access and path filtering.  [`NodeIndex::sorted_access`]
-//! therefore returns a borrowed slice — no per-query sort, no per-query
-//! allocation — and [`NodeIndex::evaluate_into`] scores into caller-owned
-//! buffers.
+//! length for random access and path filtering.  Match-all terms restricted
+//! to contexts (`(population, *)`) read per-path runs of slots, frozen in
+//! match-all score order, so they touch only their own paths' nodes.
+//! [`NodeIndex::sorted_access`] therefore returns a borrowed slice — no
+//! per-query sort, no per-query allocation — and [`NodeIndex::evaluate_into`]
+//! scores into caller-owned buffers.
 
 use std::collections::HashMap;
 
@@ -82,6 +84,13 @@ pub struct NodeIndex {
     pub(crate) slot_paths: Vec<PathId>,
     /// Slot → token count (side table for length normalisation).
     pub(crate) slot_token_counts: Vec<u32>,
+    /// CSR offsets of the per-path match-all runs into `path_run_slots`,
+    /// indexed by `PathId` (length `max indexed path + 2`).
+    pub(crate) path_run_offsets: Vec<u32>,
+    /// Slots grouped by context path; each path's run is sorted by
+    /// (match-all score desc, node asc), the order a match-all query
+    /// restricted to that path returns.
+    pub(crate) path_run_slots: Vec<u32>,
 }
 
 /// Partial node index over a single document, produced by
@@ -193,6 +202,7 @@ impl NodeIndex {
         self.slot_paths = nodes.iter().map(|n| self.node_paths[n]).collect();
         self.slot_token_counts = nodes.iter().map(|n| self.node_tokens[n].len() as u32).collect();
         self.slot_nodes = nodes;
+        self.freeze_path_runs();
 
         self.idf_by_term = Vec::with_capacity(self.dict.len());
         self.posting_offsets = Vec::with_capacity(self.dict.len() + 1);
@@ -218,6 +228,49 @@ impl NodeIndex {
                     .then(a.node.cmp(&b.node))
             });
             self.posting_offsets.push(self.sorted_postings.len() as u32);
+        }
+    }
+
+    /// Groups the slots by context path into the match-all runs, each sorted
+    /// by (match-all score desc, node asc).
+    fn freeze_path_runs(&mut self) {
+        let paths = self.slot_paths.iter().map(|p| p.index() + 1).max().unwrap_or(0);
+        let mut offsets = vec![0u32; paths + 1];
+        for path in &self.slot_paths {
+            offsets[path.index() + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut slots = vec![0u32; self.slot_paths.len()];
+        for (slot, path) in self.slot_paths.iter().enumerate() {
+            slots[cursor[path.index()] as usize] = slot as u32;
+            cursor[path.index()] += 1;
+        }
+        // Each run holds its slots in ascending (= node) order; the match-all
+        // score falls strictly with the token count (floored at 1), so a
+        // stable sort on that count yields (score desc, node asc), the order
+        // of `evaluate_into`.
+        for run in offsets.windows(2) {
+            slots[run[0] as usize..run[1] as usize]
+                .sort_by_key(|&slot| self.slot_token_counts[slot as usize].max(1));
+        }
+        self.path_run_offsets = offsets;
+        self.path_run_slots = slots;
+    }
+
+    /// The match-all content score of a slot.
+    fn match_all_score(&self, slot: u32) -> f64 {
+        match_all_score(self.slot_token_counts[slot as usize] as usize)
+    }
+
+    /// The slots of one path's match-all run (empty for paths without
+    /// indexed nodes).
+    fn path_run(&self, path: PathId) -> &[u32] {
+        match self.path_run_offsets.get(path.index()..path.index() + 2) {
+            Some(&[lo, hi]) => &self.path_run_slots[lo as usize..hi as usize],
+            _ => &[],
         }
     }
 
@@ -294,9 +347,7 @@ impl NodeIndex {
     fn score_unchecked(&self, query: &FullTextQuery, node: NodeId, tokens: &[String]) -> f64 {
         let positive = query.positive_terms();
         if positive.is_empty() {
-            // Match-all queries (`*`): every node scores equally; use a small
-            // constant so structural compactness dominates the combined score.
-            return 1.0 / (tokens.len() as f64).sqrt().max(1.0);
+            return match_all_score(tokens.len());
         }
         positive
             .iter()
@@ -361,6 +412,12 @@ impl NodeIndex {
             return;
         }
 
+        if query.is_match_all() {
+            if let Some(paths) = allowed {
+                self.match_all_in_paths(paths, out);
+                return;
+            }
+        }
         if query.is_match_all() || query.positive_terms().is_empty() {
             // Match-all or pure-negation queries must consider every indexed
             // node; slots are already in ascending node order.
@@ -393,6 +450,37 @@ impl NodeIndex {
         });
     }
 
+    /// Match-all evaluation restricted to `paths`: the concatenated runs of
+    /// the distinct paths, sorted only when more than one path contributes.
+    fn match_all_in_paths(&self, paths: &[PathId], out: &mut Vec<ScoredNode>) {
+        let mut push_runs = |paths: &[PathId]| {
+            for &path in paths {
+                out.extend(self.path_run(path).iter().map(|&slot| ScoredNode {
+                    node: self.slot_nodes[slot as usize],
+                    score: self.match_all_score(slot),
+                }));
+            }
+        };
+        let distinct = if paths.windows(2).all(|w| w[0] < w[1]) {
+            push_runs(paths);
+            paths.len()
+        } else {
+            let mut sorted = paths.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            push_runs(&sorted);
+            sorted.len()
+        };
+        if distinct > 1 {
+            out.sort_by(|a, b| {
+                b.score
+                    .partial_cmp(&a.score)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.node.cmp(&b.node))
+            });
+        }
+    }
+
     /// Per-term sorted access for the Threshold Algorithm: postings of `term`
     /// ordered by descending single-term score, as a borrowed slice of the
     /// pre-sorted posting arena (no per-query work).
@@ -414,6 +502,13 @@ impl NodeIndex {
     pub fn search(&self, keywords: &str) -> Vec<ScoredNode> {
         self.evaluate(&FullTextQuery::Keywords(terms(keywords)))
     }
+}
+
+/// Content score of a match-all query (`*`) for a node of `tokens` tokens:
+/// every node scores alike up to length normalisation, a small constant so
+/// structural compactness dominates the combined score.
+fn match_all_score(tokens: usize) -> f64 {
+    1.0 / (tokens as f64).sqrt().max(1.0)
 }
 
 #[cfg(test)]
@@ -585,6 +680,28 @@ mod tests {
             index.evaluate_in_paths(&FullTextQuery::phrase("united states"), &[name_path]);
         assert_eq!(results.len(), 1);
         assert_eq!(collection.context_string(results[0].node).unwrap(), "/country/name");
+    }
+
+    #[test]
+    fn match_all_path_runs_equal_the_filtered_scan() {
+        let (collection, index) = sample();
+        let mut scanned = Vec::new();
+        let mut candidates = Vec::new();
+        let all: Vec<PathId> = collection.paths().iter().map(|(id, _)| id).collect();
+        let mut cases: Vec<Vec<PathId>> = all.iter().map(|&p| vec![p]).collect();
+        cases.push(all.clone());
+        cases.push(all.iter().rev().chain(all.iter()).copied().collect());
+        cases.push(vec![PathId(9_999)]);
+        cases.push(Vec::new());
+        for allowed in cases {
+            index.evaluate_into(&FullTextQuery::Any, Some(&allowed), &mut candidates, &mut scanned);
+            let expected: Vec<ScoredNode> = index
+                .evaluate(&FullTextQuery::Any)
+                .into_iter()
+                .filter(|s| allowed.contains(&index.node_path(s.node).unwrap()))
+                .collect();
+            assert_eq!(scanned, expected, "allowed paths {allowed:?}");
+        }
     }
 
     #[test]

@@ -14,11 +14,30 @@
 //!   nodes already seen for the other terms, candidate tuples are checked for
 //!   connectivity in the data graph and scored
 //!   `content_weight · Σ content + structure_weight · compactness`;
-//! * the algorithm maintains the classic rank-join threshold
-//!   `max_i ( frontier_i + Σ_{j≠i} best_j )` plus the maximal structural
-//!   bonus, and stops as soon as `k` buffered tuples score at least the
+//! * the search stops as soon as `k` buffered tuples score at least the
 //!   threshold — the early-termination property the paper relies on for
 //!   interactive response times.
+//!
+//! # The threshold
+//!
+//! Every combination not yet enumerated holds at least one unseen posting.
+//! Its content is at most `max_i ( next_i + Σ_{j≠i} best_j )` over the lists
+//! `i` with postings left, where `next_i` is the score of list `i`'s next
+//! unseen posting; a fully consumed list contributes no unseen combination.
+//!
+//! Its compactness is at most `1 / (1 + L)`, where `L` comes from the data
+//! graph's *context graph* (the image of every data-graph edge under
+//! node → context, so context distance never exceeds node distance).  Before
+//! the loop, one multi-source breadth-first search per term over the context
+//! graph gives the m×m matrix of distances between the sets of contexts
+//! present in the term lists; `L` is the weight of a minimum spanning tree
+//! over that matrix, entries beyond `max_depth` counting as absent.
+//! Compactness is `1 / (1 + MST)` over the tuple's exact pairwise distances,
+//! each at least the matching matrix entry, and a minimum spanning tree is
+//! monotone in its edge weights — so the bound is sound.  When the matrix is
+//! disconnected no tuple can be connected, and the search returns the empty
+//! answer without scoring anything.  Wildcard terms produce flat score
+//! lists, where only this structural part of the threshold can ever be met.
 //!
 //! # Allocation discipline
 //!
@@ -27,16 +46,21 @@
 //! score array), connectivity/compactness checks are label intersections
 //! against the graph's precomputed connectivity oracle (probes counted
 //! through a reusable [`TraversalScratch`]), and document-component pruning
-//! reads the components cached on the [`DataGraph`] at build time.  Callers that issue many queries should hold a
-//! [`SearchScratch`] and use [`TopKSearcher::search_with`] /
-//! [`TopKSearcher::search_naive_with`] so even the posting-list buffers are
-//! reused across queries.
+//! reads the components cached on the [`DataGraph`] at build time: the
+//! consumed postings are chained per component, so a new node is joined
+//! only with the seen nodes of its own component.  The
+//! exhaustive baseline streams combinations through an odometer over the
+//! lists into a `k`-bounded heap, so its memory is `O(m + k)`.  Callers that
+//! issue many queries should hold a [`SearchScratch`] and use
+//! [`TopKSearcher::search_with`] / [`TopKSearcher::search_naive_with`] so
+//! even the posting-list and bound buffers are reused across queries.
 
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use seda_datagraph::{compactness_with, DataGraph, TraversalScratch};
+use seda_datagraph::{compactness_with, DataGraph, TraversalScratch, CONTEXT_UNREACHABLE};
 use seda_textindex::{NodeIndex, ScoredNode};
-use seda_xmlstore::{Collection, NodeId};
+use seda_xmlstore::{Collection, NodeId, PathId};
 
 use crate::types::{
     LimitBreach, MaterializedTerms, ResultTuple, SearchLimits, SearchStats, TermInput, TopKConfig,
@@ -44,8 +68,8 @@ use crate::types::{
 };
 
 /// Reusable buffers of the top-k search: posting lists, the flat candidate
-/// arenas of the join loop and the traversal scratch of the connectivity
-/// checks.
+/// arenas of the join loop, the buffers of the structural bound and the
+/// traversal scratch of the connectivity checks.
 ///
 /// A scratch serves any number of searches over any engine; reuse it across
 /// queries to keep the read path allocation-free once the buffers have grown
@@ -70,6 +94,108 @@ pub struct SearchScratch {
     pub(crate) kth_scores: Vec<f64>,
     positions: Vec<usize>,
     best_scores: Vec<f64>,
+    /// Buffers of the context-graph bound.
+    bound: BoundScratch,
+    /// Row-major m×m context distances between the term lists (see the
+    /// module doc), [`CONTEXT_UNREACHABLE`] for unconnected pairs.
+    context_matrix: Vec<u32>,
+    /// Per-list positions of the exhaustive baseline's odometer.
+    odometer: Vec<usize>,
+    /// The join loop's consumed postings, chained per document component.
+    seen: SeenByComponent,
+}
+
+/// The postings the join loop has consumed, chained per (list, document
+/// component) in consumption order, so joining a new node visits only the
+/// seen nodes of its own component — in the same ascending order as a scan
+/// of the seen prefix.  Chains are epoch-stamped: a reset is O(1) plus
+/// growth.
+#[derive(Debug, Default)]
+struct SeenByComponent {
+    epoch: u32,
+    components: usize,
+    /// Per (list, component) slot: the epoch its chain was started in.
+    stamp: Vec<u32>,
+    /// Per slot: first and last chained list position.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// Per list, per position: the next chained position (`u32::MAX` ends).
+    next: Vec<Vec<u32>>,
+}
+
+impl SeenByComponent {
+    const END: u32 = u32::MAX;
+
+    /// Empties every chain for a search over `lists` on a graph with
+    /// `components` document components.
+    fn reset(&mut self, lists: &[Vec<ScoredNode>], components: usize) {
+        let slots = lists.len() * components;
+        if self.stamp.len() < slots {
+            self.stamp.resize(slots, 0);
+            self.head.resize(slots, Self::END);
+            self.tail.resize(slots, Self::END);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.epoch = 1;
+        }
+        self.components = components;
+        while self.next.len() < lists.len() {
+            self.next.push(Vec::new());
+        }
+        for (next, list) in self.next.iter_mut().zip(lists) {
+            if next.len() < list.len() {
+                next.resize(list.len(), Self::END);
+            }
+        }
+    }
+
+    /// The slot of a (list, component) pair, or `None` for a component id
+    /// outside the graph (such a node joins nothing).
+    fn slot(&self, list: usize, component: u32) -> Option<usize> {
+        ((component as usize) < self.components)
+            .then(|| list * self.components + component as usize)
+    }
+
+    /// Appends consumed position `pos` of `list` to its component's chain.
+    fn push(&mut self, list: usize, component: u32, pos: usize) {
+        let Some(slot) = self.slot(list, component) else { return };
+        if self.stamp[slot] == self.epoch {
+            self.next[list][self.tail[slot] as usize] = pos as u32;
+        } else {
+            self.stamp[slot] = self.epoch;
+            self.head[slot] = pos as u32;
+        }
+        self.tail[slot] = pos as u32;
+        self.next[list][pos] = Self::END;
+    }
+
+    /// First chained position of `list` in `component`.
+    fn first(&self, list: usize, component: u32) -> Option<usize> {
+        let slot = self.slot(list, component)?;
+        (self.stamp[slot] == self.epoch).then_some(self.head[slot] as usize)
+    }
+
+    /// The chained position after `pos` in `list`.
+    fn after(&self, list: usize, pos: usize) -> Option<usize> {
+        let next = self.next[list][pos];
+        (next != Self::END).then_some(next as usize)
+    }
+}
+
+/// Reusable buffers of the context-distance matrix computation.
+#[derive(Debug, Default)]
+struct BoundScratch {
+    /// Per-term sets of contexts present in the term's list.
+    sets: Vec<Vec<PathId>>,
+    /// Membership marks while collecting one set, indexed by `PathId`.
+    in_set: Vec<bool>,
+    /// Breadth-first search queue and distances over the context graph.
+    queue: Vec<u32>,
+    dist: Vec<u32>,
+    /// Prim's per-term tentative edge weights (`None` once in the tree).
+    best: Vec<Option<u32>>,
 }
 
 impl SearchScratch {
@@ -117,25 +243,6 @@ impl Ord for HeapTuple {
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| other.0.nodes.cmp(&self.0.nodes))
     }
-}
-
-/// Scores one candidate tuple, returning `None` for disconnected tuples.
-fn score_tuple(
-    graph: &DataGraph,
-    traversal: &mut TraversalScratch,
-    nodes: &[NodeId],
-    content: f64,
-    config: &TopKConfig,
-    stats: &mut SearchStats,
-) -> Option<ResultTuple> {
-    stats.tuples_scored += 1;
-    let compact = compactness_with(graph, traversal, nodes, config.max_depth);
-    if compact == 0.0 && nodes.len() > 1 {
-        stats.tuples_disconnected += 1;
-        return None;
-    }
-    let score = config.content_weight * content + config.structure_weight * compact;
-    Some(ResultTuple { nodes: nodes.to_vec(), content_score: content, compactness: compact, score })
 }
 
 impl<'a> TopKSearcher<'a> {
@@ -231,7 +338,8 @@ impl<'a> TopKSearcher<'a> {
     }
 
     /// Materialises the per-term sorted-access lists once, for reuse across
-    /// executions of a prepared statement.
+    /// executions of a prepared statement, together with the context
+    /// distances between the lists that the structural bound reads.
     ///
     /// The returned lists are exactly what [`TopKSearcher::search_governed`]
     /// would fill into its scratch, so
@@ -250,16 +358,19 @@ impl<'a> TopKSearcher<'a> {
             );
             lists.push(list);
         }
-        MaterializedTerms::from_lists(lists)
+        let mut context_matrix = Vec::new();
+        self.context_matrix_into(&lists, &mut BoundScratch::default(), &mut context_matrix);
+        MaterializedTerms::from_lists(lists, context_matrix)
     }
 
     /// Runs the governed search over pre-materialised term lists, optionally
     /// memoising compactness scores in `cache`.
     ///
-    /// The lists are copied into the scratch buffers (reusing their capacity)
-    /// and the identical search runs over them — including the single-term
-    /// scan — so results are equal to [`TopKSearcher::search_governed`] over
-    /// the terms the lists were materialised from.
+    /// The lists and their context distances are copied into the scratch
+    /// buffers (reusing their capacity) and the identical search runs over
+    /// them — including the single-term scan — so results are equal to
+    /// [`TopKSearcher::search_governed`] over the terms the lists were
+    /// materialised from, with no bound work left per execution.
     pub fn search_materialized_governed(
         &self,
         materialized: &MaterializedTerms,
@@ -281,7 +392,64 @@ impl<'a> TopKSearcher<'a> {
         if config.scans_single_term(m) {
             return self.scan_single_term(config, limits, scratch);
         }
-        self.search_filled(m, config, limits, scratch, cache)
+        scratch.context_matrix.clone_from(&materialized.context_matrix);
+        self.join_loop(m, config, limits, scratch, cache)
+    }
+
+    /// Fills `matrix` (row-major m×m over `lists`) with the context-graph
+    /// distance between the sets of contexts present in each pair of lists:
+    /// one multi-source breadth-first search per term.  Entries are
+    /// unbounded; [`CONTEXT_UNREACHABLE`] marks pairs with no connecting
+    /// context path.  Lists whose contexts the graph does not span (a graph
+    /// merged over another collection) yield an all-zero matrix, which bounds
+    /// nothing.
+    fn context_matrix_into(
+        &self,
+        lists: &[Vec<ScoredNode>],
+        bound: &mut BoundScratch,
+        matrix: &mut Vec<u32>,
+    ) {
+        let m = lists.len();
+        matrix.clear();
+        matrix.resize(m * m, 0);
+        if m < 2 {
+            return;
+        }
+        let count = self.graph.context_count();
+        bound.in_set.clear();
+        bound.in_set.resize(count, false);
+        while bound.sets.len() < m {
+            bound.sets.push(Vec::new());
+        }
+        for (list, set) in lists.iter().zip(bound.sets.iter_mut()) {
+            set.clear();
+            for entry in list {
+                let Ok(context) = self.collection.context(entry.node) else { continue };
+                if context.index() >= count {
+                    matrix.iter_mut().for_each(|d| *d = 0);
+                    return;
+                }
+                if !bound.in_set[context.index()] {
+                    bound.in_set[context.index()] = true;
+                    set.push(context);
+                }
+            }
+            for context in set.iter() {
+                bound.in_set[context.index()] = false;
+            }
+        }
+        for i in 0..m - 1 {
+            self.graph.context_distances_into(&bound.sets[i], &mut bound.queue, &mut bound.dist);
+            for j in i + 1..m {
+                let d = bound.sets[j]
+                    .iter()
+                    .map(|c| bound.dist[c.index()])
+                    .min()
+                    .unwrap_or(CONTEXT_UNREACHABLE);
+                matrix[i * m + j] = d;
+                matrix[j * m + i] = d;
+            }
+        }
     }
 
     /// Degenerate single-term search: with one list the Threshold Algorithm
@@ -349,10 +517,10 @@ impl<'a> TopKSearcher<'a> {
                 score,
             });
         }
-        if breach.is_none() && list.len() >= config.k {
-            // The TA loop flags early termination once the k-th buffered
-            // score meets the threshold, which for one list happens on the
-            // k-th sorted access — including when the list is exactly k long.
+        if breach.is_none() && list.len() > config.k {
+            // The TA loop stops on the k-th sorted access, when the k-th
+            // buffered score meets the next unseen posting's; that is early
+            // termination only while postings are left unseen.
             stats.early_terminated = true;
         }
         tuples.sort_by(|a, b| {
@@ -366,10 +534,27 @@ impl<'a> TopKSearcher<'a> {
     }
 
     /// The Threshold-Algorithm join loop over `scratch.lists[..m]`, already
-    /// filled by the caller.  `cache`, when given, memoises compactness
-    /// scores across executions (the connecting-tree size of a node tuple
-    /// depends only on the immutable graph and `max_depth`).
+    /// filled by the caller: computes the context distances between the
+    /// lists, then runs [`TopKSearcher::join_loop`].  `cache`, when given,
+    /// memoises compactness scores across executions (the connecting-tree
+    /// size of a node tuple depends only on the immutable graph and
+    /// `max_depth`).
     fn search_filled(
+        &self,
+        m: usize,
+        config: &TopKConfig,
+        limits: &SearchLimits,
+        scratch: &mut SearchScratch,
+        cache: Option<&mut TupleScoreCache>,
+    ) -> (TopKResult, Option<LimitBreach>) {
+        let SearchScratch { lists, bound, context_matrix, .. } = scratch;
+        self.context_matrix_into(&lists[..m], bound, context_matrix);
+        self.join_loop(m, config, limits, scratch, cache)
+    }
+
+    /// The join loop proper, over `scratch.lists[..m]` and the context
+    /// distances in `scratch.context_matrix`.
+    fn join_loop(
         &self,
         m: usize,
         config: &TopKConfig,
@@ -388,8 +573,25 @@ impl<'a> TopKSearcher<'a> {
             kth_scores,
             positions,
             best_scores,
+            bound,
+            context_matrix,
+            seen,
             ..
         } = scratch;
+        let lists = &lists[..m];
+        if lists.iter().any(Vec::is_empty) {
+            // Some term has no match at all: the result is empty (Definition 4
+            // requires every term to be satisfied).
+            return (TopKResult { tuples: Vec::new(), stats }, None);
+        }
+        // No tuple's connecting tree is smaller than the spanning tree over
+        // the context distances; without one, no tuple is connected at all.
+        let Some(min_tree) =
+            min_spanning_tree(context_matrix, m, config.max_depth, &mut bound.best)
+        else {
+            return (TopKResult { tuples: Vec::new(), stats }, None);
+        };
+        let structure_bound = config.structure_weight / (1.0 + min_tree as f64);
         let label_probes_before = traversal.label_probes;
         // Arm the BFS probe ceiling so even oracle fallbacks inside
         // compactness checks respect the label-probe budget; disarmed before
@@ -398,13 +600,6 @@ impl<'a> TopKSearcher<'a> {
             traversal.probe_ceiling =
                 Some((label_probes_before + traversal.bfs_visits).saturating_add(max));
         }
-        let lists = &lists[..m];
-        if lists.iter().any(Vec::is_empty) {
-            // Some term has no match at all: the result is empty (Definition 4
-            // requires every term to be satisfied).
-            traversal.probe_ceiling = None;
-            return (TopKResult { tuples: Vec::new(), stats }, None);
-        }
         best_scores.clear();
         best_scores.extend(lists.iter().map(|l| l[0].score));
         positions.clear();
@@ -412,8 +607,12 @@ impl<'a> TopKSearcher<'a> {
         kth_scores.clear();
 
         // On a graph with one document component every pair passes the
-        // same-component filter, so the per-pair lookups are skipped.
+        // same-component filter, so the join reads the seen prefixes whole;
+        // otherwise it follows the per-component chains of seen postings.
         let many_components = self.graph.doc_component_count() > 1;
+        if many_components {
+            seen.reset(lists, self.graph.doc_component_count());
+        }
         let mut buffer: BinaryHeap<HeapTuple> = BinaryHeap::new();
         let mut breach: Option<LimitBreach> = None;
 
@@ -450,6 +649,11 @@ impl<'a> TopKSearcher<'a> {
                 advanced = true;
                 stats.sorted_accesses += 1;
                 let new_node = lists[i][pos];
+                let new_component = many_components.then(|| {
+                    let component = self.graph.doc_component(new_node.node.doc);
+                    seen.push(i, component, pos);
+                    component
+                });
 
                 // Join the new node with every combination of already-seen
                 // nodes from the other lists (their consumed prefixes).  The
@@ -470,22 +674,26 @@ impl<'a> TopKSearcher<'a> {
                             next_scores.push(content + new_node.score);
                         }
                     } else {
-                        let seen_j = &lists[j][..positions[j]];
+                        // Component pruning: a tuple spanning two disconnected
+                        // document components can never be connected, so only
+                        // the seen nodes of the new node's component join.
                         for (c, &content) in combo_scores.iter().enumerate() {
-                            for candidate in seen_j {
-                                // Component pruning: a tuple spanning two
-                                // disconnected document components can never
-                                // be connected, so skip it before the BFS.
-                                if many_components
-                                    && !self.graph.same_component(candidate.node, new_node.node)
-                                {
-                                    continue;
-                                }
+                            let run = &combo_nodes[c * stride..(c + 1) * stride];
+                            let mut join = |candidate: &ScoredNode| {
                                 stats.random_accesses += 1;
-                                next_nodes
-                                    .extend_from_slice(&combo_nodes[c * stride..(c + 1) * stride]);
+                                next_nodes.extend_from_slice(run);
                                 next_nodes.push(candidate.node);
                                 next_scores.push(content + candidate.score);
+                            };
+                            match new_component {
+                                Some(component) => {
+                                    let mut at = seen.first(j, component);
+                                    while let Some(p) = at {
+                                        join(&lists[j][p]);
+                                        at = seen.after(j, p);
+                                    }
+                                }
+                                None => lists[j][..positions[j]].iter().for_each(join),
                             }
                         }
                     }
@@ -579,19 +787,15 @@ impl<'a> TopKSearcher<'a> {
                     }
                 }
 
-                // Threshold test: an unseen combination can score at most
-                //   max_i ( frontier_i + Σ_{j≠i} best_j )
-                // in content, plus the maximal structural bonus.
+                // Threshold test (see the module doc): an unseen combination
+                // holds an unseen posting of some list i, so it scores at most
+                //   max_i ( next_i + Σ_{j≠i} best_j )
+                // in content, plus the structural bound.  With nothing left
+                // unseen the loop ends on its own.
                 let mut threshold_content = f64::NEG_INFINITY;
                 for j in 0..m {
-                    let front = if positions[j] == 0 {
-                        best_scores[j]
-                    } else if positions[j] <= lists[j].len() {
-                        lists[j][positions[j] - 1].score
-                    } else {
-                        0.0
-                    };
-                    let mut bound = front;
+                    let Some(next) = lists[j].get(positions[j]) else { continue };
+                    let mut bound = next.score;
                     for (l, best) in best_scores.iter().enumerate() {
                         if l != j {
                             bound += best;
@@ -599,12 +803,9 @@ impl<'a> TopKSearcher<'a> {
                     }
                     threshold_content = threshold_content.max(bound);
                 }
-                let threshold =
-                    config.content_weight * threshold_content + config.structure_weight * 1.0;
-
-                if kth_scores.len() >= config.k {
-                    let kth_score = kth_scores[config.k - 1];
-                    if kth_score >= threshold {
+                if threshold_content > f64::NEG_INFINITY && kth_scores.len() >= config.k {
+                    let threshold = config.content_weight * threshold_content + structure_bound;
+                    if kth_scores[config.k - 1] >= threshold {
                         stats.early_terminated = true;
                         break 'outer;
                     }
@@ -636,9 +837,13 @@ impl<'a> TopKSearcher<'a> {
 
     /// [`TopKSearcher::search_naive`] reusing a caller-owned scratch.
     ///
-    /// Like the TA search, at most [`TopKConfig::candidate_limit`] candidate
-    /// tuples are materialised; clipped combinations are counted in
-    /// [`SearchStats::candidates_truncated`].
+    /// Combinations stream through an odometer over the lists (list 0 most
+    /// significant), skipping those that span two document components, into
+    /// a `k`-bounded heap: memory is `O(m + k)` however many combinations
+    /// there are.  At most [`TopKConfig::candidate_limit`] tuples are scored;
+    /// [`SearchStats::candidates_truncated`] is non-zero exactly when the
+    /// limit left combinations unscored, and counts the combinations from
+    /// the first unscored one on (an upper bound on the clipped ones).
     pub fn search_naive_with(
         &self,
         terms: &[TermInput],
@@ -650,15 +855,7 @@ impl<'a> TopKSearcher<'a> {
             return TopKResult { tuples: Vec::new(), stats };
         }
         self.fill_term_lists(terms, scratch);
-        let SearchScratch {
-            traversal,
-            lists,
-            combo_nodes,
-            combo_scores,
-            next_nodes,
-            next_scores,
-            ..
-        } = scratch;
+        let SearchScratch { traversal, lists, combo_nodes, odometer, .. } = scratch;
         let label_probes_before = traversal.label_probes;
         let lists = &lists[..terms.len()];
         if lists.iter().any(Vec::is_empty) {
@@ -668,63 +865,146 @@ impl<'a> TopKSearcher<'a> {
         let m = lists.len();
         let many_components = self.graph.doc_component_count() > 1;
 
-        combo_nodes.clear();
-        combo_scores.clear();
-        combo_scores.push(0.0);
-        for (j, list) in lists.iter().enumerate() {
-            next_nodes.clear();
-            next_scores.clear();
-            let stride = j;
-            'combos: for (c, &content) in combo_scores.iter().enumerate() {
-                let run = &combo_nodes[c * stride..(c + 1) * stride];
-                for (ci, candidate) in list.iter().enumerate() {
-                    if many_components {
-                        if let Some(&first) = run.first() {
-                            if !self.graph.same_component(first, candidate.node) {
-                                continue;
-                            }
-                        }
-                    }
-                    next_nodes.extend_from_slice(run);
-                    next_nodes.push(candidate.node);
-                    next_scores.push(content + candidate.score);
-                    if next_scores.len() > config.candidate_limit {
-                        // Candidate-limit guard against combinatorial
-                        // blow-up: everything after this point in the stage
-                        // is dropped and accounted for.
-                        stats.candidates_truncated +=
-                            (list.len() - ci - 1) + (combo_scores.len() - c - 1) * list.len();
-                        break 'combos;
-                    }
-                }
-            }
-            std::mem::swap(combo_nodes, next_nodes);
-            std::mem::swap(combo_scores, next_scores);
-            if combo_scores.is_empty() {
+        // Min-heap on the result order: the root is the worst kept tuple.
+        let mut kept: BinaryHeap<Reverse<HeapTuple>> = BinaryHeap::with_capacity(config.k + 1);
+        odometer.clear();
+        odometer.resize(m, 0);
+        let mut found = self.seek_combination(lists, odometer, 0, many_components);
+        while found {
+            if stats.tuples_scored >= config.candidate_limit {
+                stats.candidates_truncated = combinations_from(lists, odometer);
                 break;
             }
-        }
-
-        let mut tuples: Vec<ResultTuple> = Vec::new();
-        if combo_nodes.len() == combo_scores.len() * m {
-            for (c, &content) in combo_scores.iter().enumerate() {
-                let nodes = &combo_nodes[c * m..(c + 1) * m];
-                if let Some(tuple) =
-                    score_tuple(self.graph, traversal, nodes, content, config, &mut stats)
-                {
-                    tuples.push(tuple);
+            combo_nodes.clear();
+            let mut content = 0.0;
+            for (list, &at) in lists.iter().zip(odometer.iter()) {
+                combo_nodes.push(list[at].node);
+                content += list[at].score;
+            }
+            stats.tuples_scored += 1;
+            let compact = compactness_with(self.graph, traversal, combo_nodes, config.max_depth);
+            if compact == 0.0 && m > 1 {
+                stats.tuples_disconnected += 1;
+            } else {
+                let score = config.content_weight * content + config.structure_weight * compact;
+                let enters = kept.len() < config.k
+                    || kept.peek().is_some_and(|Reverse(HeapTuple(worst))| {
+                        score > worst.score
+                            || (score == worst.score && combo_nodes[..] < worst.nodes[..])
+                    });
+                if enters {
+                    if kept.len() == config.k {
+                        kept.pop();
+                    }
+                    kept.push(Reverse(HeapTuple(ResultTuple {
+                        nodes: combo_nodes.clone(),
+                        content_score: content,
+                        compactness: compact,
+                        score,
+                    })));
                 }
             }
+            odometer[m - 1] += 1;
+            found = self.seek_combination(lists, odometer, m - 1, many_components);
         }
         stats.label_probes = traversal.label_probes - label_probes_before;
-        tuples.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.nodes.cmp(&b.nodes))
-        });
-        tuples.truncate(config.k);
+        // Ascending in `Reverse` order is best first.
+        let tuples = kept.into_sorted_vec().into_iter().map(|Reverse(HeapTuple(t))| t).collect();
         TopKResult { tuples, stats }
+    }
+
+    /// Moves the odometer `at` to the next combination, in lexicographic
+    /// order, whose nodes all lie in list 0's document component.  Entries
+    /// before `level` are a valid prefix; `at[level]` is the next candidate
+    /// there (possibly past the list's end) and the entries after it are
+    /// ignored.  Returns `false` once every combination has been passed.
+    fn seek_combination(
+        &self,
+        lists: &[Vec<ScoredNode>],
+        at: &mut [usize],
+        mut level: usize,
+        many_components: bool,
+    ) -> bool {
+        loop {
+            if at[level] >= lists[level].len() {
+                if level == 0 {
+                    return false;
+                }
+                level -= 1;
+                at[level] += 1;
+                continue;
+            }
+            if level > 0
+                && many_components
+                && !self.graph.same_component(lists[0][at[0]].node, lists[level][at[level]].node)
+            {
+                at[level] += 1;
+                continue;
+            }
+            if level + 1 == lists.len() {
+                return true;
+            }
+            level += 1;
+            at[level] = 0;
+        }
+    }
+}
+
+/// Number of combinations from the odometer position `at` (inclusive) to
+/// the end of the lexicographic combination space, saturating, at least 1.
+fn combinations_from(lists: &[Vec<ScoredNode>], at: &[usize]) -> usize {
+    let mut total = 1usize;
+    let mut rank = 0usize;
+    for (list, &i) in lists.iter().zip(at) {
+        total = total.saturating_mul(list.len());
+        rank = rank.saturating_mul(list.len()).saturating_add(i);
+    }
+    total.saturating_sub(rank).max(1)
+}
+
+/// Weight of a minimum spanning tree over the row-major m×m distance
+/// `matrix`, entries beyond `max_depth` counting as absent (Prim's
+/// algorithm; `best` is a reusable buffer).  `None` when the entries within
+/// `max_depth` leave the terms disconnected.  A matrix of the wrong shape
+/// carries no information and bounds nothing: `Some(0)`.
+fn min_spanning_tree(
+    matrix: &[u32],
+    m: usize,
+    max_depth: usize,
+    best: &mut Vec<Option<u32>>,
+) -> Option<usize> {
+    if m < 2 || matrix.len() != m * m {
+        return Some(0);
+    }
+    let weight = |d: u32| (d != CONTEXT_UNREACHABLE && d as usize <= max_depth).then_some(d);
+    best.clear();
+    best.resize(m, Some(u32::MAX));
+    let mut in_tree = 0usize;
+    let mut total = 0usize;
+    let mut next = 0usize;
+    loop {
+        best[next] = None;
+        in_tree += 1;
+        if in_tree == m {
+            return Some(total);
+        }
+        // Relax the edges of the newly added term; terms in the tree hold
+        // `None` and terms not yet reached hold `Some(u32::MAX)`.
+        let mut pick: Option<(u32, usize)> = None;
+        for other in 0..m {
+            let Some(current) = best[other] else { continue };
+            let relaxed = match weight(matrix[next * m + other]) {
+                Some(d) => current.min(d),
+                None => current,
+            };
+            best[other] = Some(relaxed);
+            if relaxed != u32::MAX && pick.is_none_or(|(d, _)| relaxed < d) {
+                pick = Some((relaxed, other));
+            }
+        }
+        let (d, chosen) = pick?;
+        total += d as usize;
+        next = chosen;
     }
 }
 
@@ -1150,6 +1430,154 @@ mod tests {
             assert_eq!(join.tuples, replayed.tuples, "k={k}");
             assert_eq!(join.stats, replayed.stats, "k={k}");
         }
+    }
+
+    /// `countries` one-country documents chained by IDREF edges into one
+    /// component: every `name` and `population` scores alike (one token
+    /// each), so both wildcard lists are flat and only the structural bound
+    /// can stop the search.
+    fn flat_corpus(countries: usize) -> Collection {
+        let docs: Vec<(String, String)> = (0..countries)
+            .map(|i| {
+                (
+                    format!("c{i}.xml"),
+                    format!(
+                        r#"<country id="c{i}"><name>n{i}</name><population>{}</population>
+                             <border country_idref="c{}"/></country>"#,
+                        1000 + i,
+                        (i + 1) % countries
+                    ),
+                )
+            })
+            .collect();
+        parse_collection(docs.iter().map(|(uri, xml)| (uri.as_str(), xml.as_str()))).unwrap()
+    }
+
+    fn wildcard_terms(c: &Collection, labels: &[&str]) -> Vec<TermInput> {
+        labels
+            .iter()
+            .map(|label| {
+                let symbol = c.symbols().get(label).unwrap();
+                TermInput::with_paths(FullTextQuery::Any, c.paths().paths_with_leaf(symbol))
+            })
+            .collect()
+    }
+
+    fn scores(result: &TopKResult) -> Vec<f64> {
+        result.tuples.iter().map(|t| t.score).collect()
+    }
+
+    #[test]
+    fn flat_wildcard_lists_stop_early_and_work_grows_with_k() {
+        let c = flat_corpus(120);
+        let (index, graph) = searcher_parts(&c);
+        assert_eq!(graph.doc_component_count(), 1);
+        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let terms = wildcard_terms(&c, &["name", "population"]);
+        let mut scratch = SearchScratch::new();
+        let mut scored = Vec::new();
+        for k in [1usize, 10, 100] {
+            let config = TopKConfig::with_k(k);
+            let ta = searcher.search_with(&terms, &config, &mut scratch);
+            let naive = searcher.search_naive_with(&terms, &config, &mut scratch);
+            assert_eq!(ta.stats.candidates_truncated, 0, "k={k}");
+            assert_eq!(naive.stats.candidates_truncated, 0, "k={k}");
+            assert_eq!(scores(&ta), scores(&naive), "k={k}");
+            assert_eq!(ta.tuples.len(), k);
+            assert!(ta.stats.early_terminated, "k={k}: {:?}", ta.stats);
+            if k == 1 {
+                assert!(
+                    ta.stats.tuples_scored < naive.stats.tuples_scored,
+                    "TA must do less than full enumeration: {} vs {}",
+                    ta.stats.tuples_scored,
+                    naive.stats.tuples_scored
+                );
+            }
+            scored.push(ta.stats.tuples_scored);
+        }
+        assert!(scored.windows(2).all(|w| w[0] <= w[1]), "work must grow with k: {scored:?}");
+    }
+
+    #[test]
+    fn the_structural_bound_waits_for_tight_tuples_listed_last() {
+        // Twenty loose countries (population one level deeper: tuples at
+        // distance 3) come first in both flat lists; five tight ones
+        // (distance 2, the context-graph bound) come last.  Stopping on k
+        // loose tuples would need a bound below 1/3.
+        let docs: Vec<(String, String)> = (0..25)
+            .map(|i| {
+                let population = if i < 20 {
+                    format!("<stats><population>{i}</population></stats>")
+                } else {
+                    format!("<population>{i}</population>")
+                };
+                (format!("c{i}.xml"), format!("<country><name>n{i}</name>{population}</country>"))
+            })
+            .collect();
+        let c =
+            parse_collection(docs.iter().map(|(uri, xml)| (uri.as_str(), xml.as_str()))).unwrap();
+        let (index, graph) = searcher_parts(&c);
+        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let terms = wildcard_terms(&c, &["name", "population"]);
+        for k in [1usize, 3, 5, 8] {
+            let config = TopKConfig::with_k(k);
+            let ta = searcher.search(&terms, &config);
+            let naive = searcher.search_naive(&terms, &config);
+            assert_eq!(scores(&ta), scores(&naive), "k={k}");
+            assert!(ta.tuples.iter().take(5).all(|t| t.compactness == 1.0 / 3.0), "k={k}");
+        }
+    }
+
+    #[test]
+    fn contexts_farther_apart_than_max_depth_return_empty_without_scoring() {
+        let c = parse_collection(vec![
+            ("a.xml", "<r><p><x>1</x></p><q><y>2</y></q></r>"),
+            ("b.xml", "<r><p><x>3</x></p><q><y>4</y></q></r>"),
+        ])
+        .unwrap();
+        let (index, graph) = searcher_parts(&c);
+        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let terms = wildcard_terms(&c, &["x", "y"]);
+        // x and y are four hops apart in every document.
+        let near = searcher.search(&terms, &TopKConfig { max_depth: 4, ..TopKConfig::with_k(5) });
+        assert_eq!(near.tuples.len(), 2);
+        let far = TopKConfig { max_depth: 3, ..TopKConfig::with_k(5) };
+        let result = searcher.search(&terms, &far);
+        assert!(result.tuples.is_empty());
+        assert_eq!(result.stats, SearchStats::default(), "no work for an unconnectable pair");
+        let materialized = searcher.materialize_terms(&terms);
+        let (replayed, _) = searcher.search_materialized_governed(
+            &materialized,
+            &far,
+            &SearchLimits::unlimited(),
+            &mut SearchScratch::new(),
+            None,
+        );
+        assert_eq!(replayed.stats, SearchStats::default());
+        // The exhaustive baseline agrees, the hard way.
+        let naive = searcher.search_naive(&terms, &far);
+        assert!(naive.tuples.is_empty());
+        assert_eq!(naive.stats.tuples_disconnected, naive.stats.tuples_scored);
+    }
+
+    #[test]
+    fn naive_scores_exactly_the_candidate_limit_when_it_clips() {
+        let c = flat_corpus(6);
+        let (index, graph) = searcher_parts(&c);
+        let searcher = TopKSearcher::new(&c, &index, &graph);
+        let terms = wildcard_terms(&c, &["name", "population"]);
+        let full = searcher.search_naive(&terms, &TopKConfig::with_k(3));
+        assert_eq!(full.stats.tuples_scored, 36);
+        assert_eq!(full.stats.candidates_truncated, 0);
+        // A limit equal to the combination count clips nothing.
+        let exact = TopKConfig { candidate_limit: 36, ..TopKConfig::with_k(3) };
+        let result = searcher.search_naive(&terms, &exact);
+        assert_eq!(result.stats.candidates_truncated, 0);
+        assert_eq!(result.tuples, full.tuples);
+        let tight = TopKConfig { candidate_limit: 10, ..TopKConfig::with_k(3) };
+        let clipped = searcher.search_naive(&terms, &tight);
+        assert_eq!(clipped.stats.tuples_scored, 10);
+        assert_eq!(clipped.stats.candidates_truncated, 26);
     }
 
     #[test]

@@ -172,8 +172,9 @@ pub struct SearchStats {
     /// Label entries scanned by the connectivity-oracle intersections of the
     /// connectivity/compactness checks.
     pub label_probes: u64,
-    /// True when the algorithm stopped via the threshold condition rather
-    /// than exhausting all lists.
+    /// True when the loop stopped on the threshold condition with unseen
+    /// postings left in some list — never when every list was consumed,
+    /// even if the threshold would have been met on the last access.
     pub early_terminated: bool,
 }
 
@@ -199,9 +200,14 @@ impl TopKResult {
 ///
 /// The lists are exactly what a fresh search would compute for the same
 /// [`TermInput`]s: searching over them is equivalent to searching the terms.
+/// The context distances between the lists, the input of the searcher's
+/// structural bound, are computed here once as well.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MaterializedTerms {
     pub(crate) lists: Vec<Vec<ScoredNode>>,
+    /// Row-major m×m context-graph distances between the lists' context
+    /// sets (unbounded; `max_depth` applies per execution).
+    pub(crate) context_matrix: Vec<u32>,
 }
 
 impl MaterializedTerms {
@@ -215,8 +221,8 @@ impl MaterializedTerms {
         self.lists.get(i).map(Vec::len).unwrap_or(0)
     }
 
-    pub(crate) fn from_lists(lists: Vec<Vec<ScoredNode>>) -> Self {
-        MaterializedTerms { lists }
+    pub(crate) fn from_lists(lists: Vec<Vec<ScoredNode>>, context_matrix: Vec<u32>) -> Self {
+        MaterializedTerms { lists, context_matrix }
     }
 }
 
@@ -330,7 +336,7 @@ mod tests {
 
     #[test]
     fn materialized_terms_report_list_shapes() {
-        let m = MaterializedTerms::from_lists(vec![vec![], vec![]]);
+        let m = MaterializedTerms::from_lists(vec![vec![], vec![]], vec![0; 4]);
         assert_eq!(m.term_count(), 2);
         assert_eq!(m.list_len(0), 0);
         assert_eq!(m.list_len(7), 0, "out-of-range terms read as empty");

@@ -130,6 +130,30 @@ fn dropped_connectivity_labels_are_detected_as_datagraph_labels_sound() {
 }
 
 #[test]
+fn dropped_context_edge_is_detected_as_datagraph_context_graph() {
+    let mut e = engine();
+    let c = e.collection();
+    let bordering = c.paths().get_str(c.symbols(), "/sea/bordering").unwrap();
+    let country = c.paths().get_str(c.symbols(), "/country").unwrap();
+    {
+        let (_, _, _, graph, _) = e.substrates_mut();
+        assert!(graph.corrupt_remove_context_edge(bordering, country), "the IDREF image exists");
+    }
+    expect_violation(&e, "datagraph", "context-graph");
+}
+
+#[test]
+fn misplaced_match_all_run_slot_is_detected_as_textindex_node_side_table() {
+    let mut e = engine();
+    {
+        let (_, node_index, _, _, _) = e.substrates_mut();
+        let last = node_index.indexed_node_count() - 1;
+        node_index.corrupt_swap_path_run_slots(0, last);
+    }
+    expect_violation(&e, "textindex", "node-side-table");
+}
+
+#[test]
 fn desynced_path_index_is_detected_as_dataguide_path_index() {
     let mut e = engine();
     let c = e.collection();
