@@ -5,17 +5,17 @@
 //!
 //! | class | invariant |
 //! |---|---|
-//! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id per term |
+//! | `termdict-bijection` | the term dictionary round-trips: `get(resolve(id)) == id` both ways, one id and one posting list per term |
 //! | `csr-offsets` | `posting_offsets` has length `dict.len() + 1`, starts at 0, is monotone and ends at the arena length |
 //! | `postings-sorted` | every per-term posting slice is sorted by (score desc, node asc), scores finite, nodes distinct |
-//! | `node-side-table` | slots are dense and ascending by node id; `node_slots` is the exact inverse; side tables align; the per-path match-all runs hold every slot once, under its own path, in (score desc, node asc) order |
+//! | `node-side-table` | slots are dense and ascending by node id; `node_slots` is the exact inverse; side tables align, and each slot's token row is as long as its token count; the per-path match-all runs hold every slot once, under its own path, in (score desc, node asc) order |
 //! | `context-paths` | every path referenced by the context index is a member of its own `all_paths` universe |
 //!
 //! The violation type lives in [`seda_xmlstore::audit`] so every substrate
 //! reports through one shape; see there for the catalog conventions.
 
 use seda_xmlstore::audit::{finish, AuditResult, InvariantViolation};
-use seda_xmlstore::NodeId;
+use seda_xmlstore::PathId;
 
 use crate::context_index::ContextIndex;
 use crate::dict::TermId;
@@ -55,14 +55,14 @@ impl NodeIndex {
                 ));
             }
         }
-        if self.dict.len() != self.postings.len() {
+        let lists = self.posting_offsets.len().saturating_sub(1);
+        if self.dict.len() != lists {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "termdict-bijection",
                 format!(
-                    "dictionary holds {} terms but the index has {} posting lists",
-                    self.dict.len(),
-                    self.postings.len()
+                    "dictionary holds {} terms but the index has {lists} posting lists",
+                    self.dict.len()
                 ),
             ));
         }
@@ -159,21 +159,32 @@ impl NodeIndex {
         let n = self.slot_nodes.len();
         if self.slot_paths.len() != n
             || self.slot_token_counts.len() != n
+            || self.slot_tokens.len() != n
             || self.node_slots.len() != n
-            || self.indexed_nodes != n
         {
             violations.push(InvariantViolation::new(
                 SUBSTRATE,
                 "node-side-table",
                 format!(
-                    "side tables disagree: {} nodes, {} paths, {} lengths, {} slots, {} counted",
+                    "side tables disagree: {} nodes, {} paths, {} lengths, {} token rows, {} slots",
                     n,
                     self.slot_paths.len(),
                     self.slot_token_counts.len(),
-                    self.node_slots.len(),
-                    self.indexed_nodes
+                    self.slot_tokens.len(),
+                    self.node_slots.len()
                 ),
             ));
+        }
+        for (slot, (tokens, &count)) in
+            self.slot_tokens.iter().zip(&self.slot_token_counts).enumerate()
+        {
+            if tokens.len() != count as usize {
+                violations.push(InvariantViolation::new(
+                    SUBSTRATE,
+                    "node-side-table",
+                    format!("slot {slot} holds {} tokens but counts {count}", tokens.len()),
+                ));
+            }
         }
         for (i, pair) in self.slot_nodes.windows(2).enumerate() {
             if pair[0] >= pair[1] {
@@ -275,6 +286,13 @@ impl NodeIndex {
         self.path_run_slots.swap(a, b);
     }
 
+    /// Test-only corruption hook: drops the last token of one slot's token
+    /// row (breaks `node-side-table`: the row no longer matches its count).
+    #[doc(hidden)]
+    pub fn corrupt_pop_slot_token(&mut self, slot: usize) {
+        self.slot_tokens[slot].pop();
+    }
+
     /// The number of entries in the frozen posting arena (sizing input for
     /// the corruption suite's swap hook).
     #[doc(hidden)]
@@ -298,31 +316,33 @@ impl ContextIndex {
     /// when the `PostingLists` storage design is active.
     pub fn verify(&self) -> AuditResult {
         let mut violations = Vec::new();
-        let mut check_member = |path: &seda_xmlstore::PathId, role: &str| {
+        // The role is rendered only for a violation: the passing check stays
+        // allocation-free over every (keyword, path) entry.
+        let mut check_member = |path: &PathId, role: &dyn Fn() -> String| {
             if !self.all_paths.contains(path) {
                 violations.push(InvariantViolation::new(
                     SUBSTRATE,
                     "context-paths",
-                    format!("{role} references path {} outside the universe", path.0),
+                    format!("{} references path {} outside the universe", role(), path.0),
                 ));
             }
         };
         for path in &self.text_paths {
-            check_member(path, "text-path set");
+            check_member(path, &|| "text-path set".to_string());
         }
         for (term, paths) in &self.keyword_paths {
             for path in paths {
-                check_member(path, &format!("keyword {term:?}"));
+                check_member(path, &|| format!("keyword {term:?}"));
             }
         }
         for path in self.path_occurrences.keys() {
-            check_member(path, "occurrence counts");
+            check_member(path, &|| "occurrence counts".to_string());
         }
         for path in self.path_document_frequency.keys() {
-            check_member(path, "document frequencies");
+            check_member(path, &|| "document frequencies".to_string());
         }
         for (term, path) in self.posting_counts.keys() {
-            check_member(path, &format!("posting count of {term:?}"));
+            check_member(path, &|| format!("posting count of {term:?}"));
         }
         if self.storage == crate::context_index::CountStorage::DocumentStore
             && !self.posting_counts.is_empty()
@@ -342,16 +362,9 @@ impl ContextIndex {
     /// Test-only corruption hook: registers a text path outside the path
     /// universe (breaks `context-paths`).
     #[doc(hidden)]
-    pub fn corrupt_insert_text_path(&mut self, path: seda_xmlstore::PathId) {
+    pub fn corrupt_insert_text_path(&mut self, path: PathId) {
         self.text_paths.insert(path);
     }
-}
-
-/// A [`NodeId`] guaranteed not to exist in small test corpora; used by the
-/// corruption suite to desynchronise side tables.
-#[doc(hidden)]
-pub fn bogus_node() -> NodeId {
-    NodeId::new(seda_xmlstore::DocId(u32::MAX), u32::MAX)
 }
 
 #[cfg(test)]
@@ -421,6 +434,14 @@ mod tests {
         // The first and last runs belong to different paths.
         let last = index.indexed_node_count() - 1;
         index.corrupt_swap_path_run_slots(0, last);
+        let violations = index.verify().unwrap_err();
+        assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
+    }
+
+    #[test]
+    fn short_token_row_fails_side_table() {
+        let (_, mut index) = sample();
+        index.corrupt_pop_slot_token(0);
         let violations = index.verify().unwrap_err();
         assert!(violations.iter().all(|v| v.invariant == "node-side-table"), "{violations:?}");
     }

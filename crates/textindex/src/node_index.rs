@@ -1,8 +1,8 @@
 //! Inverted index over node content.
 //!
 //! This is the index the top-k search unit (Sec. 4) reads: for every node that
-//! carries text, the index stores a posting per term with term frequency and
-//! positions.  It supports the two access paths the Threshold Algorithm needs:
+//! carries text, the index stores a posting per term with its content score.
+//! It supports the two access paths the Threshold Algorithm needs:
 //!
 //! * **sorted access** — per-term posting lists ordered by descending content
 //!   score, and
@@ -13,20 +13,31 @@
 //! `"United States"` hits `country` and `trade_country` nodes rather than
 //! every ancestor up to the document root.
 //!
+//! # Build
+//!
+//! A shard covers one document ([`NodeIndex::build_shard`]) or, in the
+//! sequential [`NodeIndex::build`], all of them.  It walks its nodes in
+//! order, which is slot order.  It tokenizes each text once, interns the
+//! terms in a shard vocabulary looked up by `&str`, and emits one
+//! `(term, slot, tf)` row per distinct term of a node plus one side-table
+//! row per node (node, path, tokens).  [`NodeIndex::merge`] maps each shard
+//! vocabulary onto the global lexicographic [`TermDict`] once per distinct
+//! term, offsets the slots and counting-sorts the rows into the posting
+//! arena, so the build is linear in the number of tokens apart from the
+//! per-term score sort.
+//!
 //! # Read model
 //!
-//! The build artifacts (`postings`, `node_tokens`, `node_paths`) are plain
-//! maps, but the query path never touches them directly.  At the end of
-//! [`NodeIndex::merge`] the index freezes an **interned read model**: terms
-//! are interned into a [`TermDict`], per-term posting lists are stored in one
-//! CSR arena **pre-sorted by descending content score** (idf folded in), and
-//! a dense node side table carries each indexed node's context path and token
-//! length for random access and path filtering.  Match-all terms restricted
-//! to contexts (`(population, *)`) read per-path runs of slots, frozen in
-//! match-all score order, so they touch only their own paths' nodes.
-//! [`NodeIndex::sorted_access`] therefore returns a borrowed slice — no
-//! per-query sort, no per-query allocation — and [`NodeIndex::evaluate_into`]
-//! scores into caller-owned buffers.
+//! The index holds only the **interned read model**: terms are interned into
+//! a [`TermDict`], per-term posting lists are stored in one CSR arena
+//! **pre-sorted by descending content score** (idf folded in), and dense
+//! slot-indexed side tables carry each indexed node's context path, token
+//! length and tokens for random access and path filtering.  Match-all terms
+//! restricted to contexts (`(population, *)`) read per-path runs of slots,
+//! frozen in match-all score order, so they touch only their own paths'
+//! nodes.  [`NodeIndex::sorted_access`] therefore returns a borrowed slice —
+//! no per-query sort, no per-query allocation — and
+//! [`NodeIndex::evaluate_into`] scores into caller-owned buffers.
 
 use std::collections::HashMap;
 
@@ -34,18 +45,7 @@ use seda_xmlstore::{Collection, DocId, Document, NodeId, PathId};
 
 use crate::dict::{TermDict, TermId};
 use crate::query::FullTextQuery;
-use crate::tokenize::{terms, tokenize};
-
-/// One posting: a node containing a term.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Posting {
-    /// Node containing the term.
-    pub node: NodeId,
-    /// Number of occurrences of the term in the node's direct text.
-    pub tf: u32,
-    /// Token positions of the occurrences (for phrase verification).
-    pub positions: Vec<u32>,
-}
+use crate::tokenize::terms;
 
 /// A node matched by a query, with its content score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,15 +59,6 @@ pub struct ScoredNode {
 /// Inverted full-text index over the direct text content of nodes.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct NodeIndex {
-    pub(crate) postings: HashMap<String, Vec<Posting>>,
-    /// Tokenised direct text of every indexed node (random access / phrase
-    /// verification).
-    pub(crate) node_tokens: HashMap<NodeId, Vec<String>>,
-    /// Context path of every indexed node (context filtering).
-    pub(crate) node_paths: HashMap<NodeId, PathId>,
-    pub(crate) indexed_nodes: usize,
-
-    // ---- interned read model, frozen by `rebuild_read_model` ----
     /// Term intern table; ids are lexicographic ranks, so deterministic.
     pub(crate) dict: TermDict,
     /// Smoothed idf per term id.
@@ -84,6 +75,8 @@ pub struct NodeIndex {
     pub(crate) slot_paths: Vec<PathId>,
     /// Slot → token count (side table for length normalisation).
     pub(crate) slot_token_counts: Vec<u32>,
+    /// Slot → tokenised direct text (random access and phrase matching).
+    pub(crate) slot_tokens: Vec<Vec<String>>,
     /// CSR offsets of the per-path match-all runs into `path_run_slots`,
     /// indexed by `PathId` (length `max indexed path + 2`).
     pub(crate) path_run_offsets: Vec<u32>,
@@ -97,15 +90,27 @@ pub struct NodeIndex {
 /// [`NodeIndex::build_shard`] and consumed by [`NodeIndex::merge`].
 ///
 /// Shards carry globally valid [`NodeId`]s and [`PathId`]s because documents
-/// of a [`Collection`] share its symbol and path intern tables, so merging is
-/// a plain k-way union with no id remapping.
+/// of a [`Collection`] share its symbol and path intern tables; only the
+/// shard-local term ids and slots are remapped at merge time.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct NodeIndexShard {
     doc: Option<DocId>,
-    postings: HashMap<String, Vec<Posting>>,
-    node_tokens: HashMap<NodeId, Vec<String>>,
-    node_paths: HashMap<NodeId, PathId>,
-    indexed_nodes: usize,
+    /// Shard vocabulary, indexed by shard term id (first-seen order).
+    terms: Vec<String>,
+    /// One row per distinct term of each indexed node, in slot order.
+    rows: Vec<TermRow>,
+    slot_nodes: Vec<NodeId>,
+    slot_paths: Vec<PathId>,
+    slot_tokens: Vec<Vec<String>>,
+}
+
+/// A shard posting: `tf` occurrences of shard term `term` in shard slot
+/// `slot`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TermRow {
+    term: u32,
+    slot: u32,
+    tf: u32,
 }
 
 impl NodeIndexShard {
@@ -116,7 +121,7 @@ impl NodeIndexShard {
 
     /// Number of nodes with indexed content in this shard.
     pub fn indexed_node_count(&self) -> usize {
-        self.indexed_nodes
+        self.slot_nodes.len()
     }
 }
 
@@ -124,40 +129,62 @@ impl NodeIndex {
     /// Builds the index over every node of the collection that has direct
     /// text content (elements with text and attributes).
     ///
-    /// This is the sequential reference path; it is equivalent to building
-    /// one shard per document with [`NodeIndex::build_shard`] and combining
-    /// them with [`NodeIndex::merge`].
+    /// This is the sequential path: one shard over every document, merged.
+    /// It is equivalent to building one shard per document with
+    /// [`NodeIndex::build_shard`] and combining them with
+    /// [`NodeIndex::merge`].
     pub fn build(collection: &Collection) -> Self {
-        Self::merge(collection.documents().map(Self::build_shard).collect())
+        Self::merge(vec![Self::shard_of(collection.documents())])
     }
 
     /// Builds the partial index of a single document (the per-shard phase of
     /// the shard → merge build lifecycle).
     pub fn build_shard(doc: &Document) -> NodeIndexShard {
-        let mut shard = NodeIndexShard { doc: Some(doc.id), ..NodeIndexShard::default() };
-        for (ordinal, node) in doc.iter() {
-            let Some(text) = node.text.as_deref() else { continue };
-            let tokens = tokenize(text);
-            if tokens.is_empty() {
-                continue;
+        Self::shard_of([doc])
+    }
+
+    /// Builds one shard over `docs`, which must come in ascending document
+    /// order; the shard is filed under the first document.
+    fn shard_of<'a>(docs: impl IntoIterator<Item = &'a Document>) -> NodeIndexShard {
+        let mut shard = NodeIndexShard::default();
+        let mut vocabulary: HashMap<String, u32> = HashMap::new();
+        // Per shard term: 1 + the last slot that used it, and that row.
+        let mut last_row: Vec<(u32, usize)> = Vec::new();
+        for doc in docs {
+            shard.doc.get_or_insert(doc.id);
+            for (ordinal, node) in doc.iter() {
+                let Some(text) = node.text.as_deref() else { continue };
+                let tokens = terms(text);
+                if tokens.is_empty() {
+                    continue;
+                }
+                let slot = shard.slot_nodes.len() as u32;
+                for token in &tokens {
+                    let term = match vocabulary.get(token.as_str()) {
+                        Some(&term) => term,
+                        None => {
+                            let term = last_row.len() as u32;
+                            vocabulary.insert(token.clone(), term);
+                            last_row.push((0, 0));
+                            term
+                        }
+                    };
+                    let (stamp, row) = &mut last_row[term as usize];
+                    if *stamp == slot + 1 {
+                        shard.rows[*row].tf += 1;
+                    } else {
+                        (*stamp, *row) = (slot + 1, shard.rows.len());
+                        shard.rows.push(TermRow { term, slot, tf: 1 });
+                    }
+                }
+                shard.slot_nodes.push(NodeId::new(doc.id, ordinal));
+                shard.slot_paths.push(node.path);
+                shard.slot_tokens.push(tokens);
             }
-            let node_id = NodeId::new(doc.id, ordinal);
-            let mut tfs: HashMap<&str, (u32, Vec<u32>)> = HashMap::new();
-            for token in &tokens {
-                let entry = tfs.entry(token.text.as_str()).or_insert((0, Vec::new()));
-                entry.0 += 1;
-                entry.1.push(token.position);
-            }
-            for (term, (tf, positions)) in tfs {
-                shard.postings.entry(term.to_string()).or_default().push(Posting {
-                    node: node_id,
-                    tf,
-                    positions,
-                });
-            }
-            shard.node_tokens.insert(node_id, tokens.into_iter().map(|t| t.text).collect());
-            shard.node_paths.insert(node_id, node.path);
-            shard.indexed_nodes += 1;
+        }
+        shard.terms = vec![String::new(); vocabulary.len()];
+        for (term, id) in vocabulary {
+            shard.terms[id as usize] = term;
         }
         shard
     }
@@ -171,64 +198,94 @@ impl NodeIndex {
     pub fn merge(mut shards: Vec<NodeIndexShard>) -> Self {
         shards.sort_by_key(|s| s.doc);
         let mut index = NodeIndex::default();
+
+        // Global vocabulary: each distinct term once, ranked lexicographically;
+        // every shard term maps to its rank by one lookup.
+        let mut first_seen: HashMap<&str, u32> = HashMap::new();
+        let shard_terms: Vec<Vec<u32>> = shards
+            .iter()
+            .map(|shard| {
+                let terms = shard.terms.iter().map(|term| {
+                    let next = first_seen.len() as u32;
+                    *first_seen.entry(term.as_str()).or_insert(next)
+                });
+                terms.collect()
+            })
+            .collect();
+        let mut distinct = vec![""; first_seen.len()];
+        for (term, id) in first_seen {
+            distinct[id as usize] = term;
+        }
+        let mut ranked: Vec<u32> = (0..distinct.len() as u32).collect();
+        ranked.sort_unstable_by_key(|&id| distinct[id as usize]);
+        let mut rank = vec![0u32; distinct.len()];
+        for (r, &id) in ranked.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        index.dict = TermDict::from_sorted(ranked.iter().map(|&id| distinct[id as usize]));
+        let shard_terms: Vec<Vec<u32>> = shard_terms
+            .into_iter()
+            .map(|ids| ids.into_iter().map(|id| rank[id as usize]).collect())
+            .collect();
+
+        // Counting sort of the rows by global term; within a term the rows
+        // stay in slot order, which is ascending node order.
+        let term_count = index.dict.len();
+        let mut offsets = vec![0u32; term_count + 1];
+        for (shard, terms) in shards.iter().zip(&shard_terms) {
+            for row in &shard.rows {
+                offsets[terms[row.term as usize] as usize + 1] += 1;
+            }
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut rows = vec![(0u32, 0u32); offsets[term_count] as usize];
+        let mut base = 0u32;
+        for (shard, terms) in shards.iter().zip(&shard_terms) {
+            for row in &shard.rows {
+                let term = terms[row.term as usize] as usize;
+                rows[cursor[term] as usize] = (base + row.slot, row.tf);
+                cursor[term] += 1;
+            }
+            base += shard.slot_nodes.len() as u32;
+        }
+
         for shard in shards {
-            for (term, postings) in shard.postings {
-                index.postings.entry(term).or_default().extend(postings);
-            }
-            index.node_tokens.extend(shard.node_tokens);
-            index.node_paths.extend(shard.node_paths);
-            index.indexed_nodes += shard.indexed_nodes;
+            index.slot_nodes.extend(shard.slot_nodes);
+            index.slot_paths.extend(shard.slot_paths);
+            index.slot_tokens.extend(shard.slot_tokens);
         }
-        // Per-term posting lists are concatenated in document order; keep them
-        // sorted by node id for deterministic iteration.
-        for postings in index.postings.values_mut() {
-            postings.sort_by_key(|p| p.node);
-        }
-        index.rebuild_read_model();
-        index
-    }
+        index.slot_token_counts = index.slot_tokens.iter().map(|t| t.len() as u32).collect();
+        index.node_slots =
+            index.slot_nodes.iter().enumerate().map(|(slot, &n)| (n, slot as u32)).collect();
+        index.freeze_path_runs();
 
-    /// Freezes the interned read model from the merged build artifacts: the
-    /// term dictionary, idf table, score-sorted posting arena and the node
-    /// side table.
-    fn rebuild_read_model(&mut self) {
-        let mut terms: Vec<&str> = self.postings.keys().map(String::as_str).collect();
-        terms.sort_unstable();
-        self.dict = TermDict::from_sorted(terms.into_iter());
-
-        let mut nodes: Vec<NodeId> = self.node_tokens.keys().copied().collect();
-        nodes.sort_unstable();
-        self.node_slots = nodes.iter().enumerate().map(|(i, &n)| (n, i as u32)).collect();
-        self.slot_paths = nodes.iter().map(|n| self.node_paths[n]).collect();
-        self.slot_token_counts = nodes.iter().map(|n| self.node_tokens[n].len() as u32).collect();
-        self.slot_nodes = nodes;
-        self.freeze_path_runs();
-
-        self.idf_by_term = Vec::with_capacity(self.dict.len());
-        self.posting_offsets = Vec::with_capacity(self.dict.len() + 1);
-        self.posting_offsets.push(0);
-        self.sorted_postings.clear();
-        // Collecting term ids first keeps the borrow checker happy while we
-        // push into the posting arena below.
-        for id in 0..self.dict.len() as u32 {
-            let term = self.dict.resolve(TermId(id)).to_string();
-            let idf = self.idf(&term);
-            self.idf_by_term.push(idf);
-            let start = self.sorted_postings.len();
-            for posting in &self.postings[&term] {
-                let len =
-                    (self.node_tokens.get(&posting.node).map(Vec::len).unwrap_or(1).max(1)) as f64;
-                let score = (posting.tf as f64) * idf / len.sqrt();
-                self.sorted_postings.push(ScoredNode { node: posting.node, score });
+        let indexed = index.slot_nodes.len();
+        index.idf_by_term = Vec::with_capacity(term_count);
+        index.sorted_postings = Vec::with_capacity(rows.len());
+        for run in offsets.windows(2) {
+            let run = &rows[run[0] as usize..run[1] as usize];
+            let idf = smoothed_idf(indexed, run.len());
+            index.idf_by_term.push(idf);
+            let start = index.sorted_postings.len();
+            for &(slot, tf) in run {
+                let len = index.slot_token_counts[slot as usize].max(1) as f64;
+                let node = index.slot_nodes[slot as usize];
+                index
+                    .sorted_postings
+                    .push(ScoredNode { node, score: (tf as f64) * idf / len.sqrt() });
             }
-            self.sorted_postings[start..].sort_by(|a, b| {
+            index.sorted_postings[start..].sort_by(|a, b| {
                 b.score
                     .partial_cmp(&a.score)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.node.cmp(&b.node))
             });
-            self.posting_offsets.push(self.sorted_postings.len() as u32);
         }
+        index.posting_offsets = offsets;
+        index
     }
 
     /// Groups the slots by context path into the match-all runs, each sorted
@@ -276,12 +333,12 @@ impl NodeIndex {
 
     /// Number of nodes with indexed content.
     pub fn indexed_node_count(&self) -> usize {
-        self.indexed_nodes
+        self.slot_nodes.len()
     }
 
     /// Number of distinct terms in the index.
     pub fn term_count(&self) -> usize {
-        self.postings.len()
+        self.dict.len()
     }
 
     /// The interned term dictionary of the read model.
@@ -291,18 +348,17 @@ impl NodeIndex {
 
     /// Document frequency of a term (number of nodes containing it).
     pub fn document_frequency(&self, term: &str) -> usize {
-        self.postings.get(term).map(Vec::len).unwrap_or(0)
+        self.sorted_access(term).len()
     }
 
     /// Inverse document frequency with the usual smoothing.
     pub fn idf(&self, term: &str) -> f64 {
-        let df = self.document_frequency(term);
-        ((1.0 + self.indexed_nodes as f64) / (1.0 + df as f64)).ln() + 1.0
+        smoothed_idf(self.indexed_node_count(), self.document_frequency(term))
     }
 
     /// The context path of an indexed node.
     pub fn node_path(&self, node: NodeId) -> Option<PathId> {
-        self.node_paths.get(&node).copied()
+        self.node_entry(node).map(|(path, _)| path)
     }
 
     /// The read-model side table entry of an indexed node: its context path
@@ -315,12 +371,13 @@ impl NodeIndex {
 
     /// The tokenised direct text of an indexed node.
     pub fn node_tokens(&self, node: NodeId) -> Option<&[String]> {
-        self.node_tokens.get(&node).map(Vec::as_slice)
+        let slot = *self.node_slots.get(&node)? as usize;
+        Some(&self.slot_tokens[slot])
     }
 
-    /// tf-idf content score of a single term for a node, length-normalised.
-    fn term_score(&self, term: &str, node: NodeId, tf: u32) -> f64 {
-        let len = self.node_tokens.get(&node).map(Vec::len).unwrap_or(1).max(1) as f64;
+    /// tf-idf content score of a single term for a slot, length-normalised.
+    fn term_score(&self, term: &str, slot: usize, tf: u32) -> f64 {
+        let len = self.slot_token_counts[slot].max(1) as f64;
         (tf as f64) * self.interned_idf(term) / len.sqrt()
     }
 
@@ -337,14 +394,15 @@ impl NodeIndex {
     /// Content score of `query` for `node`, or `None` when the node does not
     /// satisfy the query (random access for the Threshold Algorithm).
     pub fn score(&self, query: &FullTextQuery, node: NodeId) -> Option<f64> {
-        let tokens = self.node_tokens.get(&node)?;
-        if !query.matches_tokens(tokens) {
+        let slot = *self.node_slots.get(&node)? as usize;
+        if !query.matches_tokens(&self.slot_tokens[slot]) {
             return None;
         }
-        Some(self.score_unchecked(query, node, tokens))
+        Some(self.score_unchecked(query, slot))
     }
 
-    fn score_unchecked(&self, query: &FullTextQuery, node: NodeId, tokens: &[String]) -> f64 {
+    fn score_unchecked(&self, query: &FullTextQuery, slot: usize) -> f64 {
+        let tokens = &self.slot_tokens[slot];
         let positive = query.positive_terms();
         if positive.is_empty() {
             return match_all_score(tokens.len());
@@ -356,7 +414,7 @@ impl NodeIndex {
                 if tf == 0 {
                     0.0
                 } else {
-                    self.term_score(term, node, tf)
+                    self.term_score(term, slot, tf)
                 }
             })
             .sum()
@@ -434,12 +492,8 @@ impl NodeIndex {
 
         for &node in candidates.iter() {
             let slot = self.node_slots[&node] as usize;
-            if !path_ok(slot) {
-                continue;
-            }
-            let tokens = &self.node_tokens[&node];
-            if query.matches_tokens(tokens) {
-                out.push(ScoredNode { node, score: self.score_unchecked(query, node, tokens) });
+            if path_ok(slot) && query.matches_tokens(&self.slot_tokens[slot]) {
+                out.push(ScoredNode { node, score: self.score_unchecked(query, slot) });
             }
         }
         out.sort_by(|a, b| {
@@ -509,6 +563,12 @@ impl NodeIndex {
 /// structural compactness dominates the combined score.
 fn match_all_score(tokens: usize) -> f64 {
     1.0 / (tokens as f64).sqrt().max(1.0)
+}
+
+/// Smoothed inverse document frequency of a term held by `df` of `indexed`
+/// nodes.
+fn smoothed_idf(indexed: usize, df: usize) -> f64 {
+    ((1.0 + indexed as f64) / (1.0 + df as f64)).ln() + 1.0
 }
 
 #[cfg(test)]
@@ -762,6 +822,72 @@ mod tests {
         assert_eq!(merged.term_count(), 0);
         assert!(merged.term_dict().is_empty());
         assert!(merged.evaluate(&FullTextQuery::Any).is_empty());
+    }
+
+    /// The posting arena equals a rescan of the slot token table: every
+    /// term's list recomputed as tf·idf/√len over the slots holding it,
+    /// sorted by (score desc, node asc), bit for bit; and the slot table is
+    /// the tokenised text of every node with tokens, in node order.
+    fn assert_postings_equal_a_rescan(collection: &Collection, name: &str) {
+        use std::collections::BTreeMap;
+        let index = NodeIndex::build(collection);
+        let mut slot = 0;
+        for doc in collection.documents() {
+            for (ordinal, node) in doc.iter() {
+                let tokens = node.text.as_deref().map(terms).unwrap_or_default();
+                if !tokens.is_empty() {
+                    assert_eq!(index.slot_nodes[slot], NodeId::new(doc.id, ordinal));
+                    assert_eq!(index.slot_paths[slot], node.path);
+                    assert_eq!(index.slot_tokens[slot], tokens);
+                    slot += 1;
+                }
+            }
+        }
+        assert_eq!(slot, index.indexed_node_count(), "{name}");
+
+        let mut lists: BTreeMap<&str, Vec<(usize, u32)>> = BTreeMap::new();
+        for (slot, tokens) in index.slot_tokens.iter().enumerate() {
+            let mut tfs: BTreeMap<&str, u32> = BTreeMap::new();
+            for token in tokens {
+                *tfs.entry(token).or_default() += 1;
+            }
+            for (term, tf) in tfs {
+                lists.entry(term).or_default().push((slot, tf));
+            }
+        }
+        assert_eq!(index.term_count(), lists.len(), "{name}");
+        let indexed = index.indexed_node_count() as f64;
+        let bits = |list: &[ScoredNode]| -> Vec<(NodeId, u64)> {
+            list.iter().map(|s| (s.node, s.score.to_bits())).collect()
+        };
+        for (id, (term, postings)) in lists.into_iter().enumerate() {
+            let id = TermId(id as u32);
+            assert_eq!(index.term_dict().resolve(id), term, "ids are lexicographic ranks");
+            let idf = ((1.0 + indexed) / (1.0 + postings.len() as f64)).ln() + 1.0;
+            let mut expected: Vec<ScoredNode> = postings
+                .iter()
+                .map(|&(slot, tf)| {
+                    let len = index.slot_tokens[slot].len().max(1) as f64;
+                    ScoredNode { node: index.slot_nodes[slot], score: tf as f64 * idf / len.sqrt() }
+                })
+                .collect();
+            expected.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.node.cmp(&b.node)));
+            assert_eq!(bits(index.sorted_access_by_id(id)), bits(&expected), "{name} {term:?}");
+        }
+    }
+
+    #[test]
+    fn posting_lists_equal_a_rescan_of_the_slot_token_table() {
+        use seda_datagen::Dataset;
+        for dataset in [Dataset::GoogleBase, Dataset::Mondial, Dataset::WorldFactbook] {
+            assert_postings_equal_a_rescan(&dataset.generate_small().unwrap(), dataset.name());
+        }
+        let repeated = parse_collection(vec![(
+            "r.xml",
+            r#"<a k="be be"><b>to be or not to be</b><c>be</c><d>-</d><b>not to</b></a>"#,
+        )])
+        .unwrap();
+        assert_postings_equal_a_rescan(&repeated, "repeated tokens");
     }
 
     #[test]

@@ -20,40 +20,51 @@ pub struct Token {
 /// Splits text into normalised tokens.
 pub fn tokenize(text: &str) -> Vec<Token> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    let mut position = 0u32;
-    let mut chars = text.chars().peekable();
-
-    while let Some(c) = chars.next() {
-        if c.is_alphanumeric() {
-            current.extend(c.to_lowercase());
-        } else if c == '.' && !current.is_empty() && current.chars().all(|c| c.is_ascii_digit()) {
-            // Keep decimal points inside numbers ("16.9", "12.31") but only if
-            // a digit follows; a trailing period ends the token.
-            if chars.peek().map(|n| n.is_ascii_digit()).unwrap_or(false) {
-                current.push('.');
-            } else {
-                flush(&mut tokens, &mut current, &mut position);
-            }
-        } else {
-            flush(&mut tokens, &mut current, &mut position);
-        }
-    }
-    flush(&mut tokens, &mut current, &mut position);
+    for_each_term(text, |term| {
+        let position = tokens.len() as u32;
+        tokens.push(Token { text: term.to_string(), position });
+    });
     tokens
-}
-
-fn flush(tokens: &mut Vec<Token>, current: &mut String, position: &mut u32) {
-    if !current.is_empty() {
-        tokens.push(Token { text: std::mem::take(current), position: *position });
-        *position += 1;
-    }
 }
 
 /// Convenience: tokenised text as plain strings (used for query keywords,
 /// where positions are irrelevant).
 pub fn terms(text: &str) -> Vec<String> {
-    tokenize(text).into_iter().map(|t| t.text).collect()
+    let mut out = Vec::new();
+    for_each_term(text, |term| out.push(term.to_string()));
+    out
+}
+
+/// Calls `f` with each normalised token of `text`, in order — the tokens of
+/// [`tokenize`] — through one reused buffer, so index builds can look terms
+/// up by `&str` and allocate only for terms they have not seen.
+pub fn for_each_term(text: &str, mut f: impl FnMut(&str)) {
+    let mut current = String::new();
+    let mut chars = text.chars().peekable();
+    let mut flush = |current: &mut String| {
+        if !current.is_empty() {
+            f(current);
+            current.clear();
+        }
+    };
+    while let Some(c) = chars.next() {
+        if c.is_ascii_alphanumeric() {
+            current.push(c.to_ascii_lowercase());
+        } else if c.is_alphanumeric() {
+            current.extend(c.to_lowercase());
+        } else if c == '.' && !current.is_empty() && current.bytes().all(|b| b.is_ascii_digit()) {
+            // Keep decimal points inside numbers ("16.9", "12.31") but only if
+            // a digit follows; a trailing period ends the token.
+            if chars.peek().is_some_and(|n| n.is_ascii_digit()) {
+                current.push('.');
+            } else {
+                flush(&mut current);
+            }
+        } else {
+            flush(&mut current);
+        }
+    }
+    flush(&mut current);
 }
 
 #[cfg(test)]

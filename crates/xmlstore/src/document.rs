@@ -3,7 +3,7 @@
 use crate::dewey::DeweyId;
 use crate::error::{Result, XmlStoreError};
 use crate::node::{DocId, Node, NodeId, NodeKind};
-use crate::path::{LabelPath, PathId, PathTable};
+use crate::path::{PathId, PathTable};
 use crate::symbol::{Symbol, SymbolTable};
 
 /// A stored XML document: an arena of nodes in document order.
@@ -235,7 +235,7 @@ impl<'a> DocumentBuilder<'a> {
             None => (None, DeweyId::root()),
         };
         self.label_stack.push(name);
-        let path = self.paths.intern(LabelPath::new(self.label_stack.clone()));
+        let path = self.paths.intern_steps(&self.label_stack);
         self.label_stack.pop();
         if let Some(parent) = parent {
             self.nodes[parent as usize].children.push(ordinal);

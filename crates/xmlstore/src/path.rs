@@ -7,7 +7,9 @@
 //! fact/dimension definitions all operate on, so the store interns every
 //! distinct path once and hands out a dense [`PathId`].
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::symbol::{Symbol, SymbolTable};
 
@@ -24,9 +26,23 @@ impl PathId {
 
 /// A single interned path: the sequence of label symbols from the document
 /// root to the node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelPath {
     steps: Vec<Symbol>,
+}
+
+// `Hash` and `Eq` both see only the step slice, so a path table keyed by
+// `LabelPath` can be probed with a borrowed `&[Symbol]`.
+impl Hash for LabelPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.steps.as_slice().hash(state);
+    }
+}
+
+impl Borrow<[Symbol]> for LabelPath {
+    fn borrow(&self) -> &[Symbol] {
+        &self.steps
+    }
 }
 
 impl LabelPath {
@@ -89,9 +105,22 @@ impl PathTable {
 
     /// Interns a label path, returning the existing id if it was seen before.
     pub fn intern(&mut self, path: LabelPath) -> PathId {
-        if let Some(&id) = self.lookup.get(&path) {
+        if let Some(&id) = self.lookup.get(path.steps()) {
             return id;
         }
+        self.insert(path)
+    }
+
+    /// Interns the path with the given steps, root first.  The lookup borrows
+    /// `steps`; they are copied only when the path is new.
+    pub fn intern_steps(&mut self, steps: &[Symbol]) -> PathId {
+        if let Some(&id) = self.lookup.get(steps) {
+            return id;
+        }
+        self.insert(LabelPath::new(steps.to_vec()))
+    }
+
+    fn insert(&mut self, path: LabelPath) -> PathId {
         let id = PathId(self.paths.len() as u32);
         self.lookup.insert(path.clone(), id);
         self.paths.push(path);
@@ -166,6 +195,18 @@ mod tests {
         let mut table = PathTable::new();
         let ids = paths.iter().map(|p| table.intern_str(&mut symbols, p)).collect();
         (symbols, table, ids)
+    }
+
+    #[test]
+    fn interning_by_steps_agrees_with_interning_by_path() {
+        let (symbols, mut table, ids) = table_with(&["/country/name", "/country/economy/GDP"]);
+        let steps: Vec<Symbol> =
+            ["country", "economy", "GDP"].iter().map(|s| symbols.get(s).unwrap()).collect();
+        assert_eq!(table.intern_steps(&steps), ids[1]);
+        assert_eq!(table.intern_steps(&steps[..1]), PathId(2), "a new prefix path is added");
+        assert_eq!(table.intern(LabelPath::new(steps[..1].to_vec())), PathId(2));
+        assert_eq!(table.get(&LabelPath::new(steps.clone())), Some(ids[1]));
+        assert_eq!(table.len(), 3);
     }
 
     #[test]
